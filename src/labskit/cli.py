@@ -79,6 +79,13 @@ def _cmd_eval(args) -> int:
 # --- search -----------------------------------------------------------------
 
 
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad {what} {text!r}: not an integer") from None
+
+
 def _parse_partition(text: str) -> tuple:
     try:
         return tuple(int(t) for t in text.split(",") if t.strip())
@@ -102,7 +109,7 @@ def _parse_duration(text: str) -> float:
 def _cmd_search(args) -> int:
     workers = args.workers
     if workers is None:
-        workers = int(os.environ.get("LABSKIT_WORKERS", "1"))
+        workers = _parse_int(os.environ.get("LABSKIT_WORKERS", "1"), "LABSKIT_WORKERS")
     time_limit: Optional[float] = None
     if args.budget is not None:
         time_limit = _parse_duration(args.budget)
@@ -205,7 +212,7 @@ def _cmd_exhaustive(args) -> int:
 def _cmd_verify(args) -> int:
     entries = load_dataset(args.dataset)
     if args.rows:
-        wanted = {int(t) for t in args.rows.split(",") if t.strip()}
+        wanted = {_parse_int(t, "--rows entry") for t in args.rows.split(",") if t.strip()}
         entries = [e for e in entries if e.n in wanted]
         if not entries:
             raise DomainError(f"no dataset rows with n in {sorted(wanted)}")

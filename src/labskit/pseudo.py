@@ -16,8 +16,11 @@ closed-form energies:
 
 Prepend and drop-first follow by applying the same formulas to the
 reversal of B (reversal preserves skew-symmetry, correlations and
-energy).  All formulas are exact integer identities, validated against
-direct recomputation in the tests.
+energy).  In shift indexing all four delta sums run over the even
+shifts s = 2..n-1 against C_s, so they come out of one product
+(`boundary_sums`) of a 4 x (n-1)/2 gather of elements with C_2, C_4, ...
+All formulas are exact integer identities, validated against direct
+recomputation in the tests.
 """
 
 from __future__ import annotations
@@ -76,37 +79,67 @@ def _arrays(seq: BinarySequence):
     return corr, e
 
 
+def probe_tables(n: int) -> tuple:
+    """(index, weight) arrays of shape (4, (n-1)/2) for `boundary_sums`.
+
+    Row r, column j holds the element index and sign that multiply
+    C_{2j+2} in the delta sum of direction DIRECTIONS[r].  In reversed
+    indexing Chat_u = C_{n-1-u}, so the append sums pair C_s with
+    b_{n-s} (last) or b_{s-1} (first, via reversal); the truncation sums
+    stop one shift short (s <= n-3) and carry a minus sign.
+    """
+    s = np.arange(2, n, 2)
+    index = np.stack([n - s, s - 1, n - 1 - s, s])
+    weight = np.ones_like(index)
+    weight[2:] = -1
+    weight[2:, -1:] = 0
+    return index, weight
+
+
+def boundary_sums(c: np.ndarray, e: np.ndarray, tables: tuple) -> list:
+    """Delta sums of the four boundary probes, in DIRECTIONS order.
+
+    `c` holds C_u by shift, `e` the elements of a skew-symmetric
+    sequence of length n, `tables` is `probe_tables(n)`.  The energies
+    follow by the closed forms in the module docstring.
+    """
+    index, weight = tables
+    return ((e[index] * weight) @ c[2::2]).tolist()
+
+
+def probe_energies(c: np.ndarray, e: np.ndarray, v: int, tables: tuple) -> tuple:
+    """Energies of the `probe_neighbors` candidates, in its order: append
+    +1, append -1 (at the end), drop the last, drop the first element.
+
+    One `boundary_sums` product serves all four; `v` is the energy of
+    the skew-symmetric base.
+    """
+    n = e.shape[0]
+    append_last, _, drop_last, drop_first = boundary_sums(c, e, tables)
+    return (v + n + 2 * append_last, v + n - 2 * append_last,
+            v + n - 3 + 2 * int(e[n - 1]) * drop_last,
+            v + n - 3 + 2 * int(e[0]) * drop_first)
+
+
 def append_delta_arrays(c: np.ndarray, e: np.ndarray, n: int, v: int, sign: int,
                         end: str = "last") -> tuple:
     """(delta, energy) for appending `sign` at `end`, from raw state arrays.
 
     `c` holds C_u by shift, `e` the elements, `v` the current energy.
-    In reversed indexing Chat_u = C_{n-1-u}, so the sum over even
-    reversed indices becomes a sum over even shifts s with b_{n-s}
-    (or b_{s-1} for the prepend case, via reversal).
     """
-    ss = np.arange(2, n, 2)
-    if end == "last":
-        delta = int(np.sum(c[ss] * e[n - ss]))
-    elif end == "first":
-        delta = int(np.sum(c[ss] * e[ss - 1]))
-    else:
+    if end not in ("last", "first"):
         raise DomainError(f"end must be 'last' or 'first', got {end!r}")
+    delta = boundary_sums(c, e, probe_tables(n))[0 if end == "last" else 1]
     return delta, v + n + 2 * sign * delta
 
 
 def truncate_delta_arrays(c: np.ndarray, e: np.ndarray, n: int, v: int,
                           end: str = "last") -> tuple:
     """(delta, energy) for dropping the element at `end`."""
-    ss = np.arange(2, n - 2, 2)
-    if end == "last":
-        delta = -int(np.sum(c[ss] * e[n - 1 - ss]))
-        edge = int(e[n - 1])
-    elif end == "first":
-        delta = -int(np.sum(c[ss] * e[ss]))
-        edge = int(e[0])
-    else:
+    if end not in ("last", "first"):
         raise DomainError(f"end must be 'last' or 'first', got {end!r}")
+    delta = boundary_sums(c, e, probe_tables(n))[2 if end == "last" else 3]
+    edge = int(e[n - 1] if end == "last" else e[0])
     return delta, v + n - 3 + 2 * edge * delta
 
 

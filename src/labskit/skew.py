@@ -10,19 +10,26 @@ autocorrelation vanishes.  Energy reduces to the even shifts.
 
 `SkewSearchState` maintains a sequence, its full correlation array and
 its energy under paired flips.  Flipping position q < l must also flip
-position n-1-q to stay skew-symmetric; the energy delta is computed in
-O(n): each even shift u changes only through the at most four products
-that involve a flipped endpoint exactly once,
+position p = n-1-q to stay skew-symmetric; the energy delta is computed
+in O(n): each even shift u changes only through the at most four
+products that involve a flipped endpoint exactly once,
 
     C_u' = C_u - 2*T_u,
     T_u  = sum of old products b_j*b_{j+u} with exactly one of
-           j, j+u in {q, n-1-q},
+           j, j+u in {q, p},
+    E'   = E + 4 * sum_u T_u*(T_u - C_u).
 
-and the term pairing q with n-1-q itself (u = n-1-2q, both endpoints
-flipped) is excluded since it is unchanged.  The center q = l flips a
-single bit and is handled the same way with the singleton flip set.
-Exactness is enforced against full recomputation in the test suite, and
-optionally at runtime via LABSKIT_DEBUG_VERIFY=1.
+For even u the skew rule gives b_{p-u}*b_p = b_q*b_{q+u} and
+b_p*b_{p+u} = b_{q-u}*b_q, so the four products fold into
+
+    T_u = 2 * b_q * (b_{q+u} + b_{q-u})
+
+on a zero-padded sequence, minus the term pairing q with p itself
+(u = n-1-2q, both endpoints flipped, hence unchanged).  The center q = l
+flips a single bit and takes the factor 1 instead of 2.  One gather over
+a block of candidate rows scores every neighbour of a walk step at once
+(`flip_deltas`).  Exactness is enforced against full recomputation in
+the test suite, and optionally at runtime via LABSKIT_DEBUG_VERIFY=1.
 """
 
 from __future__ import annotations
@@ -40,6 +47,9 @@ from .errors import DomainError
 #: When set (env LABSKIT_DEBUG_VERIFY=1), every apply_flip re-derives the
 #: correlation array from scratch and asserts agreement.
 DEBUG_VERIFY = os.environ.get("LABSKIT_DEBUG_VERIFY", "") not in ("", "0")
+
+#: Entries per block of the neighbour-scan gather in `flip_deltas`.
+GATHER_ELEMENTS = 8192
 
 #: Caps for exhaustive_best.
 MAX_EXHAUSTIVE_SKEW = 31
@@ -110,15 +120,19 @@ class SkewSearchState:
 
     Keeps the expanded elements `e`, the correlation array `c`
     (c[u] = C_u, c[0] = n; odd entries identically zero) and the exact
-    energy, all updated in O(n) per flip.
+    energy, all updated in O(n) per flip.  `e` is a view into a copy of
+    the sequence zero-padded by n-1 on both sides, so that b_{q+u} and
+    b_{q-u} can be gathered for every shift without bounds masks.
     """
 
-    __slots__ = ("n", "l", "e", "c", "energy", "half_bits", "_even_shifts")
+    __slots__ = ("n", "l", "e", "c", "energy", "half_bits", "_padded", "_even_shifts")
 
     def __init__(self, half: SkewHalf):
         self.l = half.l
         self.n = 2 * self.l + 1
-        self.e = _expanded_array(half)
+        self._padded = np.zeros(3 * self.n - 2, dtype=np.int64)
+        self.e = self._padded[self.n - 1 : 2 * self.n - 1]
+        self.e[:] = _expanded_array(half)
         corr = np.correlate(self.e, self.e, mode="full")
         self.c = corr[self.n - 1 :].astype(np.int64)
         self.energy = int(np.sum(self.c[1:] ** 2))
@@ -147,41 +161,51 @@ class SkewSearchState:
     def merit_factor(self) -> Fraction:
         return Fraction(self.n * self.n, 2 * self.energy)
 
-    def _flip_terms(self, q: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(even shifts, T_u per even shift) for flipping q (and its pair)."""
-        n, l, e = self.n, self.l, self.e
-        us = self._even_shifts
-        t = np.zeros(us.shape[0], dtype=np.int64)
-        if q == l:
-            m = us <= l
-            um = us[m]
-            t[m] = e[l] * e[l + um] + e[l - um] * e[l]
-        else:
-            p = n - 1 - q
-            outer = (us <= n - 1 - q) & (us != n - 1 - 2 * q)
-            inner = us <= q
-            uo = us[outer]
-            ui = us[inner]
-            to = e[q] * e[q + uo] + e[p - uo] * e[p]
-            ti = e[q - ui] * e[q] + e[p] * e[p + ui]
-            t[outer] += to
-            t[inner] += ti
-        return us, t
+    def _terms(self, qs: np.ndarray) -> np.ndarray:
+        """T_u for flipping each q in `qs` (one row per q, columns u = 2, 4, .., n-1)."""
+        l = self.l
+        base = (self.n - 1 + qs)[:, None]
+        t = self._padded[base + self._even_shifts] + self._padded[base - self._even_shifts]
+        # at u = n-1-2q the product b_q*b_p has both ends flipped: unchanged
+        rows = np.flatnonzero(qs < l)
+        paired = qs[rows]
+        t[rows, l - 1 - paired] -= self.e[self.n - 1 - paired]
+        t *= ((2 - (qs == l)) * self.e[qs])[:, None]
+        return t
+
+    def flip_deltas(self, qs) -> np.ndarray:
+        """E(after flip at q) - E(now) for every q in `qs`, exact, without mutating.
+
+        Rows are gathered in blocks of about `GATHER_ELEMENTS` entries, so
+        a scan over all l+1 positions never allocates O(n^2).
+        """
+        qs = np.asarray(qs, dtype=np.int64)
+        out = np.empty(qs.shape[0], dtype=np.int64)
+        if not qs.shape[0]:
+            return out
+        lo, hi = int(qs.min()), int(qs.max())
+        if lo < 0 or hi > self.l:
+            bad = lo if lo < 0 else hi
+            raise DomainError(f"flip index {bad} out of range [0, {self.l}]")
+        c_even = self.c[2::2]
+        rows = max(1, GATHER_ELEMENTS // max(self.l, 1))
+        for i in range(0, qs.shape[0], rows):
+            t = self._terms(qs[i : i + rows])
+            out[i : i + rows] = 4 * np.einsum("ij,ij->i", t, t - c_even)
+        return out
 
     def flip_delta(self, q: int) -> int:
         """E(after flip at q) - E(now), exact, without mutating."""
-        if not 0 <= q <= self.l:
-            raise DomainError(f"flip index {q} out of range [0, {self.l}]")
-        us, t = self._flip_terms(q)
-        return int(4 * np.sum(t * (t - self.c[us])))
+        return int(self.flip_deltas([q])[0])
 
     def apply_flip(self, q: int) -> None:
         """Flip position q (pairing with n-1-q for q < l), in place."""
         if not 0 <= q <= self.l:
             raise DomainError(f"flip index {q} out of range [0, {self.l}]")
-        us, t = self._flip_terms(q)
-        self.energy += int(4 * np.sum(t * (t - self.c[us])))
-        self.c[us] -= 2 * t
+        t = self._terms(np.array([q]))[0]
+        c_even = self.c[2::2]
+        self.energy += int(4 * np.dot(t, t - c_even))
+        c_even -= 2 * t
         self.e[q] = -self.e[q]
         if q != self.l:
             self.e[self.n - 1 - q] = -self.e[self.n - 1 - q]

@@ -6,10 +6,16 @@ q in [k, l] (pairing with n-1-q to preserve skew-symmetry), each with
 an O(n) incremental energy delta.  Per restart the search keeps a
 visited hash set and walks to the best unvisited neighbor (optionally
 only strictly improving ones) until the neighborhood is exhausted or
-the inner move budget runs out.  Whenever the current merit factor
-clears the activation threshold, the four adjacent pseudo-skew
-candidates of lengths n-1 and n+1 are probed through their closed-form
-deltas, so one run maintains best candidates at three lengths at once.
+the inner move budget runs out.  One step scores every free position
+in a single vectorised pass (`SkewSearchState.flip_deltas`) and takes
+the first unvisited one in stable order of energy change.  Whenever the
+current merit factor clears the activation threshold, the four adjacent
+pseudo-skew candidates of lengths n-1 and n+1 are probed through their
+closed-form deltas, so one run maintains best candidates at three
+lengths at once.  At a fixed length a higher merit factor is a lower
+energy, so the walk compares integer energies and builds a `Fraction`
+only for an improvement it reports; the activation threshold becomes an
+energy bound computed once per run (`activation_energy_bound`).
 
 Workers are share-nothing processes with RNG streams derived from
 (seed, worker id); the merged result takes the per-target maximum.
@@ -18,6 +24,7 @@ Single-worker runs are fully deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -29,7 +36,11 @@ import numpy as np
 from .core import BinarySequence
 from .errors import DomainError
 from .partitions import sample_member
-from .pseudo import append_delta_arrays, truncate_delta_arrays
+# The walk takes all four probe energies from one probe_energies call.
+# append_delta_arrays and truncate_delta_arrays stay bound here because
+# perfbench/tracer.py looks them up in this module's namespace.
+from .pseudo import (append_delta_arrays, probe_energies, probe_tables,  # noqa: F401
+                     truncate_delta_arrays)
 from .records import encode_hex
 from .skew import SkewSearchState
 
@@ -154,23 +165,46 @@ def pick_better_neighbor(state: SkewSearchState, visited: set, policy: str,
 
     Under strict-descent only neighbors with lower energy qualify; under
     self-avoiding-best the best unvisited neighbor wins regardless.
-    Ties break to the smallest index.
+    Ties break to the smallest index (the first in `indices`): a stable
+    sort of the energy changes puts them in that order, and the walk
+    down it stops at the first neighbor not in `visited`.
     """
-    if indices is None:
-        indices = range(state.l + 1)
-    best_q = None
-    best_energy = None
-    for q in indices:
+    qs = np.arange(state.l + 1) if indices is None else np.asarray(indices)
+    deltas = state.flip_deltas(qs)
+    for i in np.argsort(deltas, kind="stable").tolist():
+        q = int(qs[i])
         if hash_half_bits(state.half_bits ^ (1 << q), state.l + 1) in visited:
             continue
-        result = state.energy + state.flip_delta(q)
-        if best_energy is None or result < best_energy:
-            best_q, best_energy = q, result
-    if best_q is None:
-        return None
-    if policy == POLICY_STRICT_DESCENT and best_energy >= state.energy:
-        return None
-    return best_q
+        if policy == POLICY_STRICT_DESCENT and deltas[i] >= 0:
+            return None
+        return q
+    return None
+
+
+def activation_energy_bound(n: int, t_activate: float) -> int:
+    """Largest energy E >= 0 at length n with float(n^2 / (2E)) >= t_activate.
+
+    The float of n^2/(2E) never rises as E grows, so an energy passes the
+    activation test exactly when it is at most this bound (0: none does).
+    The exact start is the midpoint between t_activate and the float
+    below it, where rounding to nearest switches; the two loops settle
+    its tie and move at most one step.
+    """
+    if t_activate <= 0:
+        return n ** 3  # above every energy at length n
+    if not math.isfinite(t_activate):
+        return 0
+
+    def passes(energy: int) -> bool:
+        return float(Fraction(n * n, 2 * energy)) >= t_activate
+
+    midpoint = (Fraction(math.nextafter(t_activate, 0.0)) + Fraction(t_activate)) / 2
+    bound = math.floor(Fraction(n * n, 2) / midpoint)
+    while bound >= 1 and not passes(bound):
+        bound -= 1
+    while passes(bound + 1):
+        bound += 1
+    return bound
 
 
 def _event(kind: str, target_n: int, mf: Fraction, seq: BinarySequence,
@@ -194,51 +228,53 @@ def _run_worker(config: SolverConfig, worker_id: int,
     n = config.n
     k = config.order
     l = n // 2
-    free = range(k, l + 1)
+    free = np.arange(k, l + 1)
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=(config.seed & _M64, worker_id)))
+    activate_energy = activation_energy_bound(n, config.t_activate)
+    tables = probe_tables(n)
 
     best = BestTriple()
+    slots = {n - 1: "shorter", n: "target", n + 1: "longer"}
+    # best energy so far per length; at one length, lower energy = higher MF
+    best_energy = dict.fromkeys(slots)
     stats = RunStats()
     events: List[dict] = []
     start = time.monotonic()
     deadline = None if config.time_limit is None else start + config.time_limit
 
-    def emit(kind: str, target_n: int, mf: Fraction, seq: BinarySequence) -> None:
-        ev = _event(kind, target_n, mf, seq, stats.flips, stats.restarts, worker_id)
+    def improves(length: int, energy: int) -> bool:
+        old = best_energy[length]
+        return old is None or energy < old
+
+    def record(length: int, energy: int, seq: BinarySequence) -> None:
+        best_energy[length] = energy
+        mf = Fraction(length * length, 2 * energy)
+        setattr(best, slots[length], BestRecord(mf, seq, stats.flips, stats.restarts,
+                                                time.monotonic() - start, worker_id))
+        ev = _event("improvement", length, mf, seq, stats.flips, stats.restarts, worker_id)
         events.append(ev)
         if on_event is not None:
             on_event(ev)
 
-    def consider_target(state: SkewSearchState) -> Fraction:
-        mf = Fraction(n * n, 2 * state.energy)
-        if best.target is None or mf > best.target.mf:
-            best.target = BestRecord(mf, state.sequence(), stats.flips,
-                                     stats.restarts, time.monotonic() - start, worker_id)
-            emit("improvement", n, mf, best.target.sequence)
-        return mf
+    def consider_target(state: SkewSearchState) -> None:
+        if improves(n, state.energy):
+            record(n, state.energy, state.sequence())
 
     def probe_adjacent(state: SkewSearchState) -> None:
-        c, e, v = state.c, state.e, state.energy
         stats.probes += 4
-        for sign in (1, -1):
-            _, energy_hi = append_delta_arrays(c, e, n, v, sign, "last")
-            mf = Fraction((n + 1) * (n + 1), 2 * energy_hi)
-            if best.longer is None or mf > best.longer.mf:
+        plus, minus, drop_last, drop_first = probe_energies(state.c, state.e,
+                                                            state.energy, tables)
+        for sign, energy_hi in ((1, plus), (-1, minus)):
+            if improves(n + 1, energy_hi):
                 seq = BinarySequence((state.sequence().bits << 1) | (sign == 1), n + 1)
-                best.longer = BestRecord(mf, seq, stats.flips, stats.restarts,
-                                         time.monotonic() - start, worker_id)
-                emit("improvement", n + 1, mf, seq)
-        for end in ("last", "first"):
-            _, energy_lo = truncate_delta_arrays(c, e, n, v, end)
-            mf = Fraction((n - 1) * (n - 1), 2 * energy_lo)
-            if best.shorter is None or mf > best.shorter.mf:
+                record(n + 1, energy_hi, seq)
+        for end, energy_lo in (("last", drop_last), ("first", drop_first)):
+            if improves(n - 1, energy_lo):
                 bits = state.sequence().bits
                 seq = (BinarySequence(bits >> 1, n - 1) if end == "last"
                        else BinarySequence(bits & ((1 << (n - 1)) - 1), n - 1))
-                best.shorter = BestRecord(mf, seq, stats.flips, stats.restarts,
-                                          time.monotonic() - start, worker_id)
-                emit("improvement", n - 1, mf, seq)
+                record(n - 1, energy_lo, seq)
 
     w_o = 0
     try:
@@ -250,7 +286,7 @@ def _run_worker(config: SolverConfig, worker_id: int,
             state = SkewSearchState(half)
             visited = {hash_state(state)}
             w_i = 0
-            mf_now = consider_target(state)
+            consider_target(state)
             while True:
                 q = pick_better_neighbor(state, visited, config.policy, free)
                 if q is None:
@@ -259,13 +295,12 @@ def _run_worker(config: SolverConfig, worker_id: int,
                 stats.flips += 1
                 w_i += 1
                 visited.add(hash_state(state))
-                mf_now = consider_target(state)
-                if float(mf_now) >= config.t_activate:
+                consider_target(state)
+                if state.energy <= activate_energy:
                     probe_adjacent(state)
                 if w_i > config.t_inner:
                     break
-                if deadline is not None and stats.flips % 256 == 0 \
-                        and time.monotonic() >= deadline:
+                if deadline is not None and time.monotonic() >= deadline:
                     break
             # every restart counts toward the outer budget; the visited
             # set and inner counter reset on the next pass

@@ -164,12 +164,28 @@ def test_criterion_8_potential_length_invariance():
                "n*, n*+2, n*+10")
 
 
+class _TargetReached(Exception):
+    """Raised from `on_event` to stop an attempt at its target."""
+
+
 def _solver_attempt(n, partition, seed, time_limit, target_mf):
+    """Best MF at length n of one run, stopped at the first event that
+    reaches `target_mf` (the run would only idle on to its deadline)."""
     cfg = SolverConfig(n=n, partition=partition, t_inner=2000, t_outer=10**6,
                        seed=seed, time_limit=time_limit)
-    result = run(cfg)
+    reached = []
+
+    def on_event(ev):
+        if ev["n"] == n and ev["mf"] >= target_mf:
+            reached.append(ev["mf"])
+            raise _TargetReached
+
+    try:
+        result = run(cfg, on_event=on_event)
+    except _TargetReached:
+        return True, reached[0]
     best = result.best.target
-    return best is not None and float(best.mf) >= target_mf, result
+    return False, None if best is None else float(best.mf)
 
 
 def test_criterion_9_solver_sanity():
@@ -188,10 +204,9 @@ def test_criterion_9_solver_sanity():
     part101 = best_partition(12, 3, "Ustar").partition
     ok101 = False
     for seed in (1, 2, 3):
-        hit, result = _solver_attempt(101, part101, seed, 55.0, 5.5)
+        hit, mf101 = _solver_attempt(101, part101, seed, 55.0, 5.5)
         if hit:
             ok101 = True
-            mf101 = float(result.best.target.mf)
             break
     assert ok101, "n=101 did not reach MF 5.5 within 60s in three attempts"
     _report(9, f"n=13 hits 169/12 in under 5s; n=101 with partition "

@@ -95,6 +95,14 @@ def test_verify_unknown_rows(capsys):
     assert code == 3
 
 
+def test_verify_non_integer_rows_is_parse_error(capsys):
+    code = main(["verify", "--rows", "573,abc"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_potentials_best(capsys):
     code, recs = run_main(capsys, "potentials", "--k", "39", "--parts", "4",
                           "--objective", "U")
@@ -201,3 +209,13 @@ def test_env_overrides_workers():
     records = [json.loads(l) for l in out.stdout.splitlines()]
     summary = [r for r in records if r.get("kind") == "summary"][0]
     assert summary["workers"] == 2
+
+
+def test_env_workers_not_an_integer_is_parse_error(capsys, monkeypatch):
+    monkeypatch.setenv("LABSKIT_WORKERS", "abc")
+    code = main(["search", "--n", "13", "--partition", "3", "--to", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

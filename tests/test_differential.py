@@ -1,0 +1,133 @@
+"""Differential tests of the vectorised walk step against loop and
+reference implementations, over random odd lengths 3..151."""
+
+import math
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from labskit import skew
+from labskit.pseudo import (append_delta, boundary_sums, materialize, probe_energies,
+                            probe_neighbors, probe_tables, truncate_delta)
+from labskit.reference import ref_energy
+from labskit.skew import SkewHalf, SkewSearchState, expand
+from labskit.solver import (POLICIES, POLICY_STRICT_DESCENT, activation_energy_bound,
+                            hash_half_bits, pick_better_neighbor)
+
+
+@st.composite
+def skew_halves(draw, max_l=75):
+    l = draw(st.integers(1, max_l))
+    bits = draw(st.integers(0, (1 << (l + 1)) - 1))
+    return SkewHalf(tuple(1 if bits >> i & 1 else -1 for i in range(l + 1)))
+
+
+def flipped(elements, q):
+    out = list(elements)
+    n = len(out)
+    out[q] = -out[q]
+    if q != n // 2:
+        out[n - 1 - q] = -out[n - 1 - q]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(half=skew_halves(), data=st.data(),
+       gather=st.sampled_from([1, 7, 64, skew.GATHER_ELEMENTS]))
+def test_flip_deltas_match_single_and_reference(half, data, gather):
+    state = SkewSearchState(half)
+    k = data.draw(st.integers(0, state.l))
+    qs = data.draw(st.permutations(range(k, state.l + 1)))
+    with mock.patch.object(skew, "GATHER_ELEMENTS", gather):
+        deltas = dict(zip(qs, state.flip_deltas(qs).tolist()))
+    assert deltas == {q: state.flip_delta(q) for q in qs}
+    elements = [int(x) for x in state.e]
+    assert state.energy == ref_energy(elements)
+    for q in data.draw(st.lists(st.sampled_from(qs), max_size=6)):
+        assert deltas[q] == ref_energy(flipped(elements, q)) - state.energy
+
+
+@settings(max_examples=150, deadline=None)
+@given(half=skew_halves())
+def test_folded_probes_match_probes_and_reference(half):
+    seq = expand(half)
+    state = SkewSearchState(half)
+    tables = probe_tables(seq.n)
+    sums = boundary_sums(state.c, state.e, tables)
+    probes = [append_delta(seq, 1, "last"), append_delta(seq, -1, "last"),
+              truncate_delta(seq, "last"), truncate_delta(seq, "first"),
+              append_delta(seq, 1, "first"), append_delta(seq, -1, "first")]
+    assert [p.delta_sum for p in probes] == [sums[0], sums[0], sums[2], sums[3],
+                                             sums[1], sums[1]]
+    energies = probe_energies(state.c, state.e, state.energy, tables)
+    assert list(energies) == [p.energy for p in probes[:4]]
+    assert list(energies) == [p.energy for p in probe_neighbors(seq)]
+    for p in probes:
+        assert p.energy == ref_energy(materialize(seq, p).elements)
+
+
+def loop_pick(state, visited, policy, indices):
+    """The per-candidate scan: best unvisited energy, first index on ties."""
+    best_q = best_energy = None
+    for q in indices:
+        if hash_half_bits(state.half_bits ^ (1 << q), state.l + 1) in visited:
+            continue
+        energy = state.energy + state.flip_delta(q)
+        if best_energy is None or energy < best_energy:
+            best_q, best_energy = q, energy
+    if best_q is None:
+        return None
+    if policy == POLICY_STRICT_DESCENT and best_energy >= state.energy:
+        return None
+    return best_q
+
+
+@settings(max_examples=200, deadline=None)
+@given(half=skew_halves(max_l=40), data=st.data(), policy=st.sampled_from(POLICIES))
+def test_pick_matches_loop_and_skips_visited(half, data, policy):
+    state = SkewSearchState(half)
+    k = data.draw(st.integers(0, state.l))
+    free = range(k, state.l + 1)
+    seen = data.draw(st.sets(st.sampled_from(list(free))))
+    visited = {hash_half_bits(state.half_bits ^ (1 << q), state.l + 1) for q in seen}
+    q = pick_better_neighbor(state, visited, policy, np.arange(k, state.l + 1))
+    assert q == loop_pick(state, visited, policy, free)
+    if q is not None:
+        assert q not in seen
+        deltas = {p: state.flip_delta(p) for p in free if p not in seen}
+        assert q == min(p for p in deltas if deltas[p] == min(deltas.values()))
+        if policy == POLICY_STRICT_DESCENT:
+            assert deltas[q] < 0
+
+
+def test_pick_ties_resolve_to_smallest_index():
+    state = SkewSearchState(SkewHalf((1,) * 5))
+    assert state.flip_deltas(np.arange(5)).tolist() == [-8, 0, -8, 0, -16]
+    visited = {hash_half_bits(state.half_bits ^ (1 << 4), state.l + 1)}
+    # with q=4 visited, q=0 and q=2 tie for the best change
+    for policy in POLICIES:
+        assert pick_better_neighbor(state, visited, policy) == 0
+        assert pick_better_neighbor(state, visited, policy, [2, 0]) == 2
+
+
+def passes(n, energy, t_activate):
+    return float(Fraction(n * n, 2 * energy)) >= t_activate
+
+
+@settings(max_examples=300, deadline=None)
+@given(l=st.integers(1, 75),
+       t_activate=st.one_of(st.floats(0.0, 20.0), st.floats(0.0, 1e6),
+                            st.floats(min_value=0.0), st.just(5e-324),
+                            st.just(math.inf), st.just(math.nan)))
+def test_activation_bound_agrees_with_float_test(l, t_activate):
+    n = 2 * l + 1
+    bound = activation_energy_bound(n, t_activate)
+    if bound >= 1:
+        assert passes(n, bound, t_activate)
+    if t_activate == 0:
+        assert bound > n ** 3 // 3  # every energy at length n is accepted
+    else:
+        assert not passes(n, bound + 1, t_activate)

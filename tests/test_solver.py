@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -166,6 +167,17 @@ def test_time_limit_stops_early():
                        seed=0, time_limit=0.3)
     result = run(cfg)
     assert result.stats.elapsed < 5.0
+
+
+def test_time_limit_checked_every_flip():
+    # one walk step at n=1001 takes milliseconds, so a deadline polled
+    # only every few hundred flips would overrun by seconds
+    cfg = SolverConfig(n=1001, partition=(6, 3, 3), t_inner=10**6, t_outer=10**6,
+                       seed=0, time_limit=0.3)
+    t0 = time.monotonic()
+    result = run(cfg)
+    assert time.monotonic() - t0 < 1.5
+    assert result.stats.elapsed < cfg.time_limit + 0.3  # 256 flips take ~1 s
 
 
 def test_parallel_workers_merge():
