@@ -345,9 +345,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except LabsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

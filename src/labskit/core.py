@@ -65,15 +65,10 @@ class BinarySequence:
     def from_elements(cls, elements: Iterable[int]) -> "BinarySequence":
         elems = tuple(elements)
         _check_length(len(elems))
-        bits = 0
         for e in elems:
-            if e == 1:
-                bits = (bits << 1) | 1
-            elif e == -1:
-                bits = bits << 1
-            else:
+            if e != 1 and e != -1:
                 raise DomainError(f"binary element must be -1 or +1, got {e!r}")
-        return cls(bits, len(elems))
+        return cls(int("".join(["1" if e == 1 else "0" for e in elems]), 2), len(elems))
 
     @classmethod
     def from_text(cls, text: str) -> "BinarySequence":
@@ -220,18 +215,20 @@ def _require_metric_length(seq: Sequence) -> int:
     return n
 
 
+def _packed_correlation(bits: int, n: int, u: int) -> int:
+    """C_u of a packed binary sequence: the n-u overlapping pairs less
+    twice the number that disagree (XOR + popcount)."""
+    width = n - u
+    return width - 2 * ((bits ^ (bits >> u)) & ((1 << width) - 1)).bit_count()
+
+
 def autocorrelation(seq: Sequence, u: int) -> int:
     """C_u: correlation of the sequence with its u-shifted self."""
     n = len(seq)
     if not 0 <= u <= n - 1:
         raise DomainError(f"shift {u} out of range [0, {n - 1}]")
     if isinstance(seq, BinarySequence):
-        if u == 0:
-            return n
-        width = n - u
-        mask = (1 << width) - 1
-        disagree = ((seq.bits ^ (seq.bits >> u)) & mask).bit_count()
-        return width - 2 * disagree
+        return _packed_correlation(seq.bits, n, u)
     e = seq.elements
     return sum(e[j] * e[j + u] for j in range(n - u))
 
@@ -240,14 +237,7 @@ def _all_correlations(seq: Sequence) -> list:
     """[C_1, ..., C_{n-1}] exactly."""
     n = len(seq)
     if isinstance(seq, BinarySequence):
-        bits = seq.bits
-        out = []
-        for u in range(1, n):
-            width = n - u
-            mask = (1 << width) - 1
-            disagree = ((bits ^ (bits >> u)) & mask).bit_count()
-            out.append(width - 2 * disagree)
-        return out
+        return [_packed_correlation(seq.bits, n, u) for u in range(1, n)]
     a = seq.as_array()
     corr = np.correlate(a, a, mode="full")
     return [int(c) for c in corr[n:]]

@@ -22,6 +22,7 @@ immutable head more heavily.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,40 +61,21 @@ def enumerate_partitions(k: int, parts: Optional[int] = None,
     if parts is not None and not 1 <= parts <= k:
         raise DomainError(f"cannot split {k} into {parts} positive parts")
 
-    if non_increasing:
-        def rec(remaining: int, cap: int, acc: list):
-            if remaining == 0:
-                if parts is None or len(acc) == parts:
-                    yield tuple(acc)
-                return
-            if parts is not None and len(acc) >= parts:
-                return
-            lo = 1
-            if parts is not None:
-                # each of the remaining slots takes at least 1
-                slots = parts - len(acc)
-                if remaining < slots:
-                    return
-            for t in range(min(cap, remaining), lo - 1, -1):
-                acc.append(t)
-                yield from rec(remaining - t, t, acc)
-                acc.pop()
+    def rec(remaining: int, cap: int, acc: list):
+        if remaining == 0:
+            if parts is None or len(acc) == parts:
+                yield tuple(acc)
+            return
+        # stop once all parts are used or too little is left to give
+        # each open part at least 1
+        if parts is not None and (len(acc) >= parts or remaining < parts - len(acc)):
+            return
+        for t in range(min(cap, remaining), 0, -1):
+            acc.append(t)
+            yield from rec(remaining - t, t if non_increasing else k, acc)
+            acc.pop()
 
-        yield from rec(k, k, [])
-    else:
-        def rec_any(remaining: int, acc: list):
-            if remaining == 0:
-                if parts is None or len(acc) == parts:
-                    yield tuple(acc)
-                return
-            if parts is not None and len(acc) >= parts:
-                return
-            for t in range(remaining, 0, -1):
-                acc.append(t)
-                yield from rec_any(remaining - t, acc)
-                acc.pop()
-
-        yield from rec_any(k, [])
+    yield from rec(k, k, [])
 
 
 def symmetry_class_count(k: int) -> int:
@@ -200,8 +182,6 @@ def potential(partition: Sequence[int], n: Optional[int] = None) -> PotentialRep
 def scan_potentials(k: int, parts: int) -> list:
     """Potential reports for every non-increasing partition of k into
     exactly `parts` parts."""
-    if parts < 1 or parts > k:
-        raise DomainError(f"cannot split {k} into {parts} positive parts")
     return [potential(p) for p in enumerate_partitions(k, parts=parts)]
 
 
@@ -212,17 +192,10 @@ def best_partition(k: int, parts: int, objective: str = "U") -> PotentialReport:
     """
     if objective not in ("U", "Ustar"):
         raise DomainError(f"objective must be 'U' or 'Ustar', got {objective!r}")
-    if parts < 1 or parts > k:
-        raise DomainError(f"cannot split {k} into {parts} positive parts")
-    key = (lambda r: r.potential) if objective == "U" else (lambda r: r.normalized)
-    best: Optional[PotentialReport] = None
-    for p in enumerate_partitions(k, parts=parts):
-        report = potential(p)
-        if best is None or key(report) < key(best) or (
-            key(report) == key(best) and report.partition > best.partition
-        ):
-            best = report
-    return best
+    # partitions come in descending lexicographic order and min keeps the
+    # first of equal keys
+    key = attrgetter("potential" if objective == "U" else "normalized")
+    return min((potential(p) for p in enumerate_partitions(k, parts=parts)), key=key)
 
 
 def format_potential_table(reports: Sequence[PotentialReport]) -> str:

@@ -21,6 +21,12 @@ shifts s = 2..n-1 against C_s, so they come out of one product
 (`boundary_sums`) of a 4 x (n-1)/2 gather of elements with C_2, C_4, ...
 All formulas are exact integer identities, validated against direct
 recomputation in the tests.
+
+Every probe is one of the paper's boundary edits eta: the four that
+`probe_energies` scores are n1 (append +1), n2 (append -1), n4 (strip
+the last element) and n3 (strip the first), and prepending is n5/n6.
+The candidate sequences themselves are built only by
+`labskit.symmetry.apply_eta` (`PROBE_EDITS`, `materialize`).
 """
 
 from __future__ import annotations
@@ -33,8 +39,16 @@ import numpy as np
 from .core import BinarySequence, sidelobes
 from .errors import DomainError
 from .skew import is_skew_symmetric
+from .symmetry import EtaOp, apply_eta
 
 DIRECTIONS = ("append-last", "prepend-first", "drop-last", "drop-first")
+
+#: The eta edit behind each `probe_energies` entry, in its order.
+PROBE_EDITS = (EtaOp(1), EtaOp(2), EtaOp(4), EtaOp(3))
+
+#: (direction, sign) of a `PssProbe` -> eta index of the edit it scores.
+_PROBE_ETA = {("append-last", 1): 1, ("append-last", -1): 2, ("prepend-first", 1): 5,
+              ("prepend-first", -1): 6, ("drop-last", None): 4, ("drop-first", None): 3}
 
 
 @dataclass(frozen=True)
@@ -178,17 +192,11 @@ def probe_neighbors(seq: BinarySequence) -> list:
 
 def materialize(seq: BinarySequence, probe: PssProbe) -> BinarySequence:
     """Construct the PSS sequence a probe refers to."""
-    n = seq.n
-    if probe.direction == "append-last":
-        return BinarySequence((seq.bits << 1) | (probe.sign == 1), n + 1)
-    if probe.direction == "prepend-first":
-        high = (1 << n) if probe.sign == 1 else 0
-        return BinarySequence(seq.bits | high, n + 1)
-    if probe.direction == "drop-last":
-        return BinarySequence(seq.bits >> 1, n - 1)
-    if probe.direction == "drop-first":
-        return BinarySequence(seq.bits & ((1 << (n - 1)) - 1), n - 1)
-    raise DomainError(f"unknown probe direction {probe.direction!r}")
+    index = _PROBE_ETA.get((probe.direction, probe.sign))
+    if index is None:
+        raise DomainError(
+            f"unknown probe direction {probe.direction!r} with sign {probe.sign!r}")
+    return apply_eta(EtaOp(index), seq)
 
 
 def pss_sidelobe_check(seq: BinarySequence) -> bool:

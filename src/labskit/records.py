@@ -23,6 +23,7 @@ couple of self-inconsistent printed rows) are reported, never fatal.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -97,7 +98,11 @@ class VerificationReport:
 
 
 def load_dataset(path: Optional[str] = None) -> List[RecordEntry]:
-    """Parse a records file; defaults to the bundled dataset."""
+    """Parse a records file; defaults to the bundled dataset.
+
+    A malformed row, or a claimed merit factor that is not a positive
+    number, raises ParseError naming its line in the file.
+    """
     if path is None:
         text = (
             importlib.resources.files("labskit")
@@ -107,28 +112,32 @@ def load_dataset(path: Optional[str] = None) -> List[RecordEntry]:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    entries: List[RecordEntry] = []
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines:
+    # (file line number, text), numbered before blank and comment lines go
+    rows = [(i, ln) for i, ln in enumerate(text.splitlines(), 1)
+            if ln.strip() and not ln.startswith("#")]
+    if not rows:
         raise ParseError("dataset file contains no rows")
-    header = lines[0].strip()
+    header_no, header = rows[0][0], rows[0][1].strip()
     if header != "n|class|hex|old_mf|new_mf|source_table":
-        raise ParseError(f"unexpected dataset header {header!r}")
-    for ln in lines[1:]:
-        fields = ln.split("|")
+        raise ParseError(f"line {header_no}: unexpected dataset header {header!r}")
+    entries: List[RecordEntry] = []
+    for line_no, ln in rows[1:]:
+        fields = [f.strip() for f in ln.split("|")]
         if len(fields) != 6:
-            raise ParseError(f"dataset row has {len(fields)} fields, expected 6: {ln!r}")
-        n_text, class_expr, payload, old_text, new_text, table = (f.strip() for f in fields)
-        entries.append(
-            RecordEntry(
-                n=int(n_text),
-                class_expr=class_expr,
-                hex=payload,
-                old_mf=None if old_text == "-" else float(old_text),
-                new_mf=float(new_text),
-                source_table=table,
-            )
-        )
+            raise ParseError(
+                f"line {line_no}: dataset row has {len(fields)} fields, expected 6: {ln!r}")
+        n_text, class_expr, payload, old_text, new_text, table = fields
+        try:
+            n = int(n_text)
+            old_mf = None if old_text == "-" else float(old_text)
+            new_mf = float(new_text)
+        except ValueError as exc:
+            raise ParseError(f"line {line_no}: {exc}") from None
+        if not 0 < new_mf < math.inf:
+            raise ParseError(f"line {line_no}: claimed merit factor must be positive, "
+                             f"got {new_text!r}")
+        entries.append(RecordEntry(n=n, class_expr=class_expr, hex=payload,
+                                   old_mf=old_mf, new_mf=new_mf, source_table=table))
     return entries
 
 

@@ -140,10 +140,6 @@ class SkewSearchState:
         self._even_shifts = np.arange(2, self.n, 2)
 
     @classmethod
-    def from_half(cls, half: SkewHalf) -> "SkewSearchState":
-        return cls(half)
-
-    @classmethod
     def from_sequence(cls, seq: BinarySequence) -> "SkewSearchState":
         if not is_skew_symmetric(seq):
             raise DomainError("sequence is not skew-symmetric")
@@ -153,7 +149,7 @@ class SkewSearchState:
         return SkewHalf(tuple(int(x) for x in self.e[: self.l + 1]))
 
     def sequence(self) -> BinarySequence:
-        return BinarySequence.from_elements(int(x) for x in self.e)
+        return BinarySequence.from_elements(self.e.tolist())
 
     def sidelobes(self) -> SidelobeArray:
         return SidelobeArray(values=tuple(int(x) for x in self.c[:0:-1]), n=self.n)

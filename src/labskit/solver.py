@@ -10,9 +10,9 @@ the inner move budget runs out.  One step scores every free position
 in a single vectorised pass (`SkewSearchState.flip_deltas`) and takes
 the first unvisited one in stable order of energy change.  Whenever the
 current merit factor clears the activation threshold, the four adjacent
-pseudo-skew candidates of lengths n-1 and n+1 are probed through their
-closed-form deltas, so one run maintains best candidates at three
-lengths at once.  At a fixed length a higher merit factor is a lower
+pseudo-skew candidates of lengths n-1 and n+1 (the eta edits
+`pseudo.PROBE_EDITS`) are probed through their closed-form deltas, so
+one run maintains best candidates at three lengths at once.  At a fixed length a higher merit factor is a lower
 energy, so the walk compares integer energies and builds a `Fraction`
 only for an improvement it reports; the activation threshold becomes an
 energy bound computed once per run (`activation_energy_bound`).
@@ -39,10 +39,11 @@ from .partitions import sample_member
 # The walk takes all four probe energies from one probe_energies call.
 # append_delta_arrays and truncate_delta_arrays stay bound here because
 # perfbench/tracer.py looks them up in this module's namespace.
-from .pseudo import (append_delta_arrays, probe_energies, probe_tables,  # noqa: F401
-                     truncate_delta_arrays)
+from .pseudo import (PROBE_EDITS, append_delta_arrays, probe_energies,  # noqa: F401
+                     probe_tables, truncate_delta_arrays)
 from .records import encode_hex
 from .skew import SkewSearchState
+from .symmetry import apply_eta
 
 POLICY_SELF_AVOIDING = "self-avoiding-best"
 POLICY_STRICT_DESCENT = "strict-descent"
@@ -233,6 +234,7 @@ def _run_worker(config: SolverConfig, worker_id: int,
         entropy=(config.seed & _M64, worker_id)))
     activate_energy = activation_energy_bound(n, config.t_activate)
     tables = probe_tables(n)
+    probe_edits = [(op, n + op.length_change) for op in PROBE_EDITS]
 
     best = BestTriple()
     slots = {n - 1: "shorter", n: "target", n + 1: "longer"}
@@ -263,18 +265,13 @@ def _run_worker(config: SolverConfig, worker_id: int,
 
     def probe_adjacent(state: SkewSearchState) -> None:
         stats.probes += 4
-        plus, minus, drop_last, drop_first = probe_energies(state.c, state.e,
-                                                            state.energy, tables)
-        for sign, energy_hi in ((1, plus), (-1, minus)):
-            if improves(n + 1, energy_hi):
-                seq = BinarySequence((state.sequence().bits << 1) | (sign == 1), n + 1)
-                record(n + 1, energy_hi, seq)
-        for end, energy_lo in (("last", drop_last), ("first", drop_first)):
-            if improves(n - 1, energy_lo):
-                bits = state.sequence().bits
-                seq = (BinarySequence(bits >> 1, n - 1) if end == "last"
-                       else BinarySequence(bits & ((1 << (n - 1)) - 1), n - 1))
-                record(n - 1, energy_lo, seq)
+        base = None
+        energies = probe_energies(state.c, state.e, state.energy, tables)
+        for (op, length), energy in zip(probe_edits, energies):
+            if improves(length, energy):
+                if base is None:
+                    base = state.sequence()
+                record(length, energy, apply_eta(op, base))
 
     w_o = 0
     try:
@@ -372,14 +369,7 @@ def run(config: SolverConfig,
     """
     config.validate()
     if config.workers == 1:
-        result = _run_worker(config, 0, on_event)
-        result.stats.per_worker.append({
-            "restarts": result.stats.restarts,
-            "flips": result.stats.flips,
-            "probes": result.stats.probes,
-            "elapsed": result.stats.elapsed,
-        })
-        return result
+        return _merge(config, [_run_worker(config, 0, on_event)])
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         results = list(pool.map(_worker_entry,
                                 [(config, w) for w in range(config.workers)]))

@@ -103,6 +103,27 @@ def test_verify_non_integer_rows_is_parse_error(capsys):
     assert "Traceback" not in err
 
 
+_HEADER = "n|class|hex|old_mf|new_mf|source_table\n"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1x3|B_13|1f35|-|14.08|I", "int()"),          # non-integer n
+    ("13|B_13|1f35|-|high|I", "float"),            # non-numeric MF
+    ("13|B_13|1f35|-|0|I", "must be positive"),    # claimed MF of 0
+])
+def test_verify_bad_dataset_row_is_parse_error(capsys, tmp_path, row, message):
+    # line numbers count the comment and the blank line before the row
+    dataset = tmp_path / "bad.psv"
+    dataset.write_text("# comment\n" + _HEADER + "\n" + row + "\n")
+    code = main(["verify", "--dataset", str(dataset)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: line 4: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_potentials_best(capsys):
     code, recs = run_main(capsys, "potentials", "--k", "39", "--parts", "4",
                           "--objective", "U")

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -35,6 +35,17 @@ def test_enumerate_compositions():
     assert comps == [(5, 1), (4, 2), (3, 3), (2, 4), (1, 5)]
     # compositions count 2^{k-1}
     assert len(list(enumerate_partitions(7, non_increasing=False))) == 64
+
+
+def test_enumerate_compositions_match_itertools():
+    for k in range(1, 11):
+        for p in range(1, k + 1):
+            # a composition of k into p parts is a choice of p-1 cut points
+            expected = sorted(
+                (tuple(b - a for a, b in zip((0,) + cuts, cuts + (k,)))
+                 for cuts in combinations(range(1, k), p - 1)),
+                reverse=True)
+            assert list(enumerate_partitions(k, parts=p, non_increasing=False)) == expected
 
 
 def test_enumerate_errors():
@@ -132,6 +143,15 @@ def test_potential_table_rows():
     r = best_partition(41, 6, "Ustar")
     assert r.normalized == 813 and r.partition == (18, 9, 6, 4, 2, 2)
     assert potential((17, 9, 6, 4, 3, 2)).normalized == 813
+
+
+@pytest.mark.parametrize("objective, field", [("U", "potential"), ("Ustar", "normalized")])
+def test_best_partition_matches_sorted_scan(objective, field):
+    for k, parts in [(6, 2), (12, 3), (17, 4), (20, 5), (24, 6)]:
+        # lowest value first; among equal values the lexicographically largest
+        ranked = sorted(scan_potentials(k, parts),
+                        key=lambda r: (getattr(r, field), [-t for t in r.partition]))
+        assert best_partition(k, parts, objective) == ranked[0]
 
 
 def test_potential_length_invariance():

@@ -4,12 +4,12 @@ import pytest
 
 from labskit.core import BinarySequence, energy, sidelobes
 from labskit.errors import DomainError
-from labskit.pseudo import (append_delta, is_pseudo_skew_symmetric,
-                            materialize, probe_neighbors,
+from labskit.pseudo import (PROBE_EDITS, PssProbe, append_delta,
+                            is_pseudo_skew_symmetric, materialize, probe_neighbors,
                             pss_energy_decomposition, pss_sidelobe_check,
                             truncate_delta)
 from labskit.skew import SkewHalf, expand
-from labskit.symmetry import REVERSE, apply_delta
+from labskit.symmetry import REVERSE, apply_delta, apply_eta
 
 BARKER13 = BinarySequence.from_text("+++++--++-+-+")
 
@@ -64,6 +64,23 @@ def test_probes_match_recompute():
             assert seq.n == probe.length
             assert is_pseudo_skew_symmetric(seq)
             assert probe.merit_factor.denominator > 0
+
+
+def test_materialize_is_the_element_edit():
+    rnd = random.Random(33)
+    for _ in range(50):
+        b = random_skew(rnd)
+        e = b.elements
+        for sign in (1, -1):
+            assert materialize(b, append_delta(b, sign, "last")).elements == e + (sign,)
+            assert materialize(b, append_delta(b, sign, "first")).elements == (sign,) + e
+        assert materialize(b, truncate_delta(b, "last")).elements == e[:-1]
+        assert materialize(b, truncate_delta(b, "first")).elements == e[1:]
+        # PROBE_EDITS names the edits in probe_neighbors order
+        assert [materialize(b, p) for p in probe_neighbors(b)] == \
+            [apply_eta(op, b) for op in PROBE_EDITS]
+    with pytest.raises(DomainError):
+        materialize(BARKER13, PssProbe("drop-middle", None, 0, 1, 12))
 
 
 def test_append_parity_identity():
