@@ -298,8 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="restart local search at one length")
     p.add_argument("--n", type=int, required=True, help="odd target length")
     p.add_argument("--partition", required=True, help="comma list, e.g. 6,3,3")
-    p.add_argument("--ti", type=int, default=100_000, help="inner move budget per restart")
-    p.add_argument("--to", type=int, default=1_000, help="outer restart budget")
+    p.add_argument("--ti", type=int, default=100_000,
+                   help="inner move budget: at most TI+1 flips per restart")
+    p.add_argument("--to", type=int, default=1_000,
+                   help="outer restart budget: TO+1 restarts")
     p.add_argument("--ta", type=float, default=0.0,
                    help="merit-factor threshold activating adjacent-length probes")
     p.add_argument("--seed", type=int, default=0)

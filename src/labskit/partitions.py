@@ -8,13 +8,13 @@ leading sign a, then t_1 copies of -a, and so on.  The skew rule forces
 the last k elements from the first k (b_{n-1-j} = (-1)^{l-j} b_j for
 n = 2l+1), leaving n-2k free positions in the middle.
 
-The *potential* of a partition is the energy of the ternary sequence
-with the free middle zeroed, evaluated at the canonical length
-n* = smallest odd n >= 3k+2.  At that point the nonzero sidelobes have
-separated into a head (first 2k reversed-index entries, prefix-suffix
-products) and a tail (last k entries, prefix and suffix
-self-correlations, always even); growing n only widens the zero body,
-so potentials are length-invariant from n* on.  The normalized
+The *potential* of a partition is the energy of its potential sequence,
+the skew expansion (`labskit.skew.expand_rows`) of (prefix, 0, .., 0),
+at the canonical length n* = smallest odd n >= 3k+2.  At that point the
+nonzero sidelobes have separated into a head (first 2k reversed-index
+entries, prefix-suffix products) and a tail (last k entries, prefix and
+suffix self-correlations, always even); growing n only widens the zero
+body, so potentials are length-invariant from n* on.  The normalized
 potential halves the tail entries before squaring, weighting the
 immutable head more heavily.
 """
@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import TernarySequence, energy, sidelobes
 from .errors import DomainError
-from .skew import SkewHalf
+from .skew import SkewHalf, expand_rows
 
 #: p(0)..p(30), OEIS A000041; reference values for enumeration tests.
 PARTITION_COUNTS = (
@@ -100,6 +100,23 @@ def restriction_class_size(n: int, k: int, skew: bool = False) -> int:
     return 2 ** (l - k + 1)
 
 
+def _projection(parts: Tuple[int, ...], n: int, leading: int) -> np.ndarray:
+    """Length-n ternary projection of checked `parts`: runs, zeros, forced suffix."""
+    if leading not in (-1, 1):
+        raise DomainError(f"leading sign must be -1 or +1, got {leading!r}")
+    k = sum(parts)
+    if n % 2 == 0:
+        raise DomainError(f"projection length must be odd, got {n}")
+    if n < 2 * k + 1:
+        raise DomainError(f"length {n} too short for partition of {k} (need >= {2 * k + 1})")
+    half = np.zeros(n // 2 + 1, dtype=np.int64)
+    start, sign = 0, leading
+    for t in parts:
+        half[start : start + t] = sign
+        start, sign = start + t, -sign
+    return expand_rows(half)
+
+
 def project_partition(partition: Sequence[int], n: int,
                       leading: int = 1) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
     """(fixed prefix, forced suffix, free position count) at length n.
@@ -108,22 +125,9 @@ def project_partition(partition: Sequence[int], n: int,
     `leading`; the suffix is what the skew rule forces from it.
     """
     parts = _check_partition(partition)
-    if leading not in (-1, 1):
-        raise DomainError(f"leading sign must be -1 or +1, got {leading!r}")
     k = sum(parts)
-    if n % 2 == 0:
-        raise DomainError(f"projection length must be odd, got {n}")
-    if n < 2 * k + 1:
-        raise DomainError(f"length {n} too short for partition of {k} (need >= {2 * k + 1})")
-    prefix = []
-    sign = leading
-    for t in parts:
-        prefix.extend([sign] * t)
-        sign = -sign
-    l = n // 2
-    suffix = [prefix[j] if (l - j) % 2 == 0 else -prefix[j] for j in range(k)]
-    suffix.reverse()  # suffix[i] is position n-k+i
-    return tuple(prefix), tuple(suffix), n - 2 * k
+    a = _projection(parts, n, leading)
+    return tuple(a[:k].tolist()), tuple(a[n - k :].tolist()), n - 2 * k
 
 
 def n_star(k: int) -> int:
@@ -139,8 +143,7 @@ def potential_sequence(partition: Sequence[int], n: Optional[int] = None,
     k = sum(parts)
     if n is None:
         n = n_star(k)
-    prefix, suffix, free = project_partition(parts, n, leading)
-    return TernarySequence(list(prefix) + [0] * free + list(suffix))
+    return TernarySequence(_projection(parts, n, leading).tolist())
 
 
 @dataclass(frozen=True)
@@ -161,10 +164,7 @@ def potential(partition: Sequence[int], n: Optional[int] = None) -> PotentialRep
     k = sum(parts)
     if n is None:
         n = n_star(k)
-    prefix, suffix, free = project_partition(parts, n)
-    a = np.zeros(n, dtype=np.int64)
-    a[:k] = prefix
-    a[n - k :] = suffix
+    a = _projection(parts, n, 1)
     cs = np.correlate(a, a, mode="full")[n:]  # C_1 .. C_{n-1}
     total = int(cs @ cs)
     tail = cs[:k]  # C_1 .. C_k = last k reversed-index entries
@@ -216,11 +216,6 @@ def sample_member(partition: Sequence[int], n: int, rng: np.random.Generator,
     """
     parts = _check_partition(partition)
     k = sum(parts)
-    prefix, _suffix, _free = project_partition(parts, n, leading)
-    l = n // 2
-    half = list(prefix) + [0] * (l + 1 - k)
-    if l + 1 > k:
-        draws = rng.integers(0, 2, size=l + 1 - k)
-        for i, d in enumerate(draws):
-            half[k + i] = 1 if d else -1
-    return SkewHalf(tuple(half))
+    half = _projection(parts, n, leading)[: n // 2 + 1]
+    half[k:] = 2 * rng.integers(0, 2, size=n // 2 + 1 - k) - 1
+    return SkewHalf(tuple(half.tolist()))

@@ -69,15 +69,9 @@ class PssProbe:
 def is_pseudo_skew_symmetric(seq: BinarySequence) -> bool:
     """True iff dropping the first OR the last element leaves a
     skew-symmetric sequence (forces even length)."""
-    n = seq.n
-    if n < 2 or n % 2 == 1:
+    if seq.n % 2 == 1:
         return False
-    e = seq.elements
-    prefix = BinarySequence.from_elements(e[:-1])
-    if is_skew_symmetric(prefix):
-        return True
-    suffix = BinarySequence.from_elements(e[1:])
-    return is_skew_symmetric(suffix)
+    return any(is_skew_symmetric(apply_eta(EtaOp(i), seq)) for i in (4, 3))
 
 
 def _require_skew(seq: BinarySequence) -> None:

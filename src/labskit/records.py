@@ -153,6 +153,13 @@ def verify_entry(entry: RecordEntry, tolerance: float = DEFAULT_TOLERANCE) -> Ve
     e = energy(seq)
     mf = Fraction(entry.n * entry.n, 2 * e)
     computed = float(mf)
+    if not 0 < entry.new_mf < math.inf:
+        return VerificationReport(
+            entry=entry, length_ok=True, energy=e, computed_mf=computed,
+            match=False, rel_error=None, classification=classify(seq),
+            detail=f"claimed merit factor must be a positive finite number, "
+                   f"got {entry.new_mf!r}",
+        )
     rel = abs(computed - entry.new_mf) / entry.new_mf
     return VerificationReport(
         entry=entry,

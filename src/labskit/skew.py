@@ -7,6 +7,8 @@ A skew-symmetric sequence of odd length n = 2l+1 satisfies
 
 so it is determined by its first l+1 elements, and every odd-shift
 autocorrelation vanishes.  Energy reduces to the even shifts.
+`expand_rows` is the one implementation of that rule; everything that
+expands a half or tests the rule, partition projections too, calls it.
 
 `SkewSearchState` maintains a sequence, its full correlation array and
 its energy under paired flips.  Flipping position q < l must also flip
@@ -51,6 +53,9 @@ DEBUG_VERIFY = os.environ.get("LABSKIT_DEBUG_VERIFY", "") not in ("", "0")
 #: Entries per block of the neighbour-scan gather in `flip_deltas`.
 GATHER_ELEMENTS = 8192
 
+#: Packed values per block of exhaustive_best.
+EXHAUSTIVE_BLOCK = 1 << 16
+
 #: Caps for exhaustive_best.
 MAX_EXHAUSTIVE_SKEW = 31
 MAX_EXHAUSTIVE_FULL = 24
@@ -78,32 +83,27 @@ class SkewHalf:
         return 2 * self.l + 1
 
 
+def expand_rows(halves: np.ndarray) -> np.ndarray:
+    """Skew-expand each row (last axis) of l+1 leading entries to 2l+1 by
+    b_{l+i} = (-1)^i * b_{l-i}.  Zeros stay zeros, so ternary rows work too."""
+    l = halves.shape[-1] - 1
+    out = np.empty(halves.shape[:-1] + (2 * l + 1,), dtype=halves.dtype)
+    out[..., : l + 1] = halves
+    out[..., l + 1 :] = halves[..., :l][..., ::-1]
+    out[..., l + 1 :: 2] *= -1
+    return out
+
+
 def expand(half: SkewHalf) -> BinarySequence:
     """The full length-(2l+1) sequence determined by the half."""
-    l = half.l
-    elems = list(half.elements)
-    for i in range(1, l + 1):
-        elems.append(elems[l - i] if i % 2 == 0 else -elems[l - i])
-    return BinarySequence.from_elements(elems)
+    return BinarySequence.from_elements(expand_rows(np.array(half.elements)).tolist())
 
 
 def is_skew_symmetric(seq: BinarySequence) -> bool:
-    n = seq.n
-    if n % 2 == 0:
+    if seq.n % 2 == 0:
         return False
-    l = n // 2
-    e = seq.elements
-    return all(e[l + i] == (e[l - i] if i % 2 == 0 else -e[l - i]) for i in range(1, l + 1))
-
-
-def _expanded_array(half: SkewHalf) -> np.ndarray:
-    l = half.l
-    e = np.empty(2 * l + 1, dtype=np.int64)
-    e[: l + 1] = half.elements
-    if l:
-        i = np.arange(1, l + 1)
-        e[l + i] = e[l - i] * (1 - 2 * (i & 1))
-    return e
+    e = seq.as_array()
+    return bool(np.array_equal(expand_rows(e[: seq.n // 2 + 1]), e))
 
 
 def _pack_half(elements) -> int:
@@ -132,7 +132,7 @@ class SkewSearchState:
         self.n = 2 * self.l + 1
         self._padded = np.zeros(3 * self.n - 2, dtype=np.int64)
         self.e = self._padded[self.n - 1 : 2 * self.n - 1]
-        self.e[:] = _expanded_array(half)
+        self.e[:] = expand_rows(np.array(half.elements))
         corr = np.correlate(self.e, self.e, mode="full")
         self.c = corr[self.n - 1 :].astype(np.int64)
         self.energy = int(np.sum(self.c[1:] ** 2))
@@ -253,41 +253,24 @@ def exhaustive_best(n: int, skew_only: bool = False) -> Tuple[Fraction, BinarySe
             raise DomainError(
                 f"skew exhaustive search supports 3 <= n <= {MAX_EXHAUSTIVE_SKEW}, got {n}"
             )
-        l = n // 2
-        best_e: Optional[int] = None
-        best_seq: Optional[BinarySequence] = None
-        block = 1 << 14
-        total = 1 << (l + 1)
-        for start in range(0, total, block):
-            vals = np.arange(start, min(start + block, total), dtype=np.uint64)
-            halves = _bits_to_pm1(vals, l + 1)
-            full = np.empty((halves.shape[0], n), dtype=np.int8)
-            full[:, : l + 1] = halves
-            if l:
-                i = np.arange(1, l + 1)
-                full[:, l + i] = halves[:, l - i] * (1 - 2 * (i & 1)).astype(np.int8)
-            energies = _block_energies(full)
-            idx = int(np.argmin(energies))
-            if best_e is None or energies[idx] < best_e:
-                best_e = int(energies[idx])
-                best_seq = BinarySequence.from_elements(int(x) for x in full[idx])
-        return Fraction(n * n, 2 * best_e), best_seq
-
-    if not 2 <= n <= MAX_EXHAUSTIVE_FULL:
-        raise DomainError(
-            f"full exhaustive search supports 2 <= n <= {MAX_EXHAUSTIVE_FULL}, got {n}"
-        )
-    best_e = None
-    best_seq = None
-    block = 1 << 16
-    total = 1 << (n - 1)  # b_0 fixed to +1
-    top = 1 << (n - 1)
-    for start in range(0, total, block):
-        vals = np.arange(start, min(start + block, total), dtype=np.uint64)
-        e = _bits_to_pm1(vals + top, n)  # +top sets the b_0 = +1 bit
-        energies = _block_energies(e)
+        width, top = n // 2 + 1, 0
+    else:
+        if not 2 <= n <= MAX_EXHAUSTIVE_FULL:
+            raise DomainError(
+                f"full exhaustive search supports 2 <= n <= {MAX_EXHAUSTIVE_FULL}, got {n}"
+            )
+        width, top = n, 1 << (n - 1)  # values from top up have b_0 = +1
+    best_e: Optional[int] = None
+    best_seq: Optional[BinarySequence] = None
+    end = 1 << width
+    for start in range(top, end, EXHAUSTIVE_BLOCK):
+        rows = _bits_to_pm1(np.arange(start, min(start + EXHAUSTIVE_BLOCK, end),
+                                      dtype=np.uint64), width)
+        if skew_only:
+            rows = expand_rows(rows)
+        energies = _block_energies(rows)
         idx = int(np.argmin(energies))
         if best_e is None or energies[idx] < best_e:
             best_e = int(energies[idx])
-            best_seq = BinarySequence.from_elements(int(x) for x in e[idx])
+            best_seq = BinarySequence.from_elements(rows[idx].tolist())
     return Fraction(n * n, 2 * best_e), best_seq

@@ -79,6 +79,10 @@ def hash_state(state: SkewSearchState) -> int:
 
 @dataclass
 class SolverConfig:
+    """One search run.  Budgets: a restart stops after at most
+    `t_inner` + 1 flips, and a run makes `t_outer` + 1 restarts (fewer
+    if `time_limit` runs out first)."""
+
     n: int
     partition: Tuple[int, ...]
     t_inner: int = 100_000

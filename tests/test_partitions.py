@@ -96,6 +96,37 @@ def test_projection_boundary_and_signs():
     assert s_neg == tuple(-x for x in s_pos)
 
 
+def old_projection(parts, n, leading):
+    """The list formula `project_partition` used before the projection
+    went through `skew.expand_rows`, kept as the reference."""
+    prefix = []
+    sign = leading
+    for t in parts:
+        prefix.extend([sign] * t)
+        sign = -sign
+    l = n // 2
+    suffix = [prefix[j] if (l - j) % 2 == 0 else -prefix[j] for j in range(len(prefix))]
+    suffix.reverse()
+    return tuple(prefix), tuple(suffix), n - 2 * len(prefix)
+
+
+def test_projection_matches_list_formula():
+    rnd = random.Random(47)
+    cases = [((1, 1, 2, 2), 21), ((2, 1), 7), ((3, 2), 15), ((6, 3, 3), 101)]
+    for _ in range(60):
+        k = rnd.randrange(1, 16)
+        cuts = sorted(rnd.sample(range(1, k), rnd.randrange(0, k)))
+        parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [k]))
+        cases += [(parts, 2 * k + 1 + 2 * rnd.randrange(0, 4)), (parts, 2 * k + 1)]
+    for parts, n in cases:
+        for leading in (1, -1):
+            expected = old_projection(parts, n, leading)
+            assert project_partition(parts, n, leading) == expected, (parts, n, leading)
+            prefix, suffix, free = expected
+            assert potential_sequence(parts, n, leading).elements == \
+                prefix + (0,) * free + suffix
+
+
 def test_projection_errors():
     with pytest.raises(DomainError):
         project_partition((4,), 7)  # needs n >= 9

@@ -31,6 +31,30 @@ def test_is_pseudo_skew_symmetric():
                 BinarySequence.from_elements(b.elements + (sign,)))
 
 
+def test_is_pseudo_skew_symmetric_matches_definition():
+    def ref_is_skew(e):
+        l = len(e) // 2
+        return len(e) % 2 == 1 and all(e[l + i] == (-1) ** i * e[l - i]
+                                       for i in range(1, l + 1))
+
+    rnd = random.Random(36)
+    seqs = [BinarySequence.from_elements(e) for e in ([1, 1, -1, 1], [1, 1, -1], [1])]
+    for _ in range(100):
+        b = random_skew(rnd)
+        sign = rnd.choice((-1, 1))
+        for e in (b.elements + (sign,), (sign,) + b.elements):
+            seqs.append(BinarySequence.from_elements(e))
+            # one flipped element
+            i = rnd.randrange(len(e))
+            seqs.append(BinarySequence.from_elements(e[:i] + (-e[i],) + e[i + 1 :]))
+        n = rnd.randrange(1, 40)
+        seqs.append(BinarySequence(rnd.getrandbits(n), n))
+    for seq in seqs:
+        e = seq.elements
+        expected = len(e) % 2 == 0 and (ref_is_skew(e[:-1]) or ref_is_skew(e[1:]))
+        assert is_pseudo_skew_symmetric(seq) == expected, e
+
+
 def test_append_probe_example():
     b = BinarySequence.from_elements([1, 1, -1])
     plus = append_delta(b, 1)

@@ -1,11 +1,12 @@
+import math
 import random
 
 import pytest
 
 from labskit.core import BinarySequence, energy
 from labskit.errors import DomainError, ParseError
-from labskit.records import (classify, decode_hex, encode_hex, load_dataset,
-                             verify_all, verify_entry)
+from labskit.records import (RecordEntry, classify, decode_hex, encode_hex,
+                             load_dataset, verify_all, verify_entry)
 from labskit.symmetry import COMPLEMENT, apply_delta
 
 
@@ -136,3 +137,15 @@ def test_bad_row_reported_not_fatal():
     assert summary["matched"] == 1
     assert not reports[0].match and not reports[0].length_ok
     assert reports[0].detail
+
+
+@pytest.mark.parametrize("claim", [0.0, -14.08, math.nan], ids=["zero", "negative", "nan"])
+def test_non_positive_claim_is_a_failed_match(claim):
+    entry = RecordEntry(n=13, class_expr="B_13", hex="1f35", old_mf=None,
+                        new_mf=claim, source_table="I")
+    report = verify_entry(entry)
+    assert not report.match and report.rel_error is None
+    assert report.energy == 6 and report.length_ok
+    assert "positive finite number" in report.detail
+    _, summary = verify_all([entry])
+    assert summary["matched"] == 0 and summary["failed"][0][2] == report.detail

@@ -1,17 +1,35 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
+import numpy as np
 import pytest
 
+from labskit import skew
 from labskit.core import BinarySequence, energy, sidelobes
 from labskit.errors import DomainError
+from labskit.reference import ref_energy
 from labskit.skew import (SkewHalf, SkewSearchState, exhaustive_best, expand,
-                          is_skew_symmetric)
+                          expand_rows, is_skew_symmetric)
 
 
 def random_half(rnd, l):
     return SkewHalf(tuple(rnd.choice((-1, 1)) for _ in range(l + 1)))
+
+
+def ref_expand(half):
+    """b_{l+i} = (-1)^i * b_{l-i}, one element at a time."""
+    l = len(half) - 1
+    return [int(x) for x in half] + [(-1) ** i * int(half[l - i]) for i in range(1, l + 1)]
+
+
+def ref_is_skew(elements):
+    n = len(elements)
+    if n % 2 == 0:
+        return False
+    l = n // 2
+    return all(elements[l + i] == (-1) ** i * elements[l - i] for i in range(1, l + 1))
 
 
 def test_expand_examples():
@@ -39,11 +57,44 @@ def test_expansions_have_zero_odd_sidelobes():
         assert all(arr[i] == 0 for i in range(1, len(arr), 2))
 
 
+def test_expand_rows_matches_element_rule():
+    rnd = np.random.default_rng(26)
+    # a 2-D batch of binary halves, ternary halves with zeros, a 3-D
+    # stack, and l = 0
+    batches = [2 * rnd.integers(0, 2, size=(6, 9), dtype=np.int8) - 1,
+               rnd.integers(-1, 2, size=(5, 12)),
+               rnd.integers(-1, 2, size=(2, 3, 4)),
+               np.array([[1], [-1], [0]])]
+    for halves in batches:
+        out = expand_rows(halves)
+        assert out.dtype == halves.dtype
+        assert out.shape == halves.shape[:-1] + (2 * halves.shape[-1] - 1,)
+        for half, row in zip(halves.reshape(-1, halves.shape[-1]),
+                             out.reshape(-1, out.shape[-1])):
+            assert row.tolist() == ref_expand(half)
+    assert expand_rows(np.array([1, 1, 1])).tolist() == [1, 1, 1, -1, 1]
+
+
 def test_is_skew_symmetric():
     assert is_skew_symmetric(BinarySequence.from_elements([1, 1, -1]))
     assert not is_skew_symmetric(BinarySequence.from_elements([1, 1, 1]))
     assert not is_skew_symmetric(BinarySequence.from_elements([1, 1, -1, 1]))
     assert is_skew_symmetric(BinarySequence.from_text("+++++--++-+-+"))
+
+
+def test_is_skew_symmetric_matches_definition():
+    rnd = random.Random(27)
+    seqs = [BinarySequence.from_text("+++++--++-+-+"), BinarySequence.from_elements([1])]
+    for _ in range(200):
+        n = rnd.randrange(1, 40)
+        seqs.append(BinarySequence(rnd.getrandbits(n), n))
+        skew_seq = expand(random_half(rnd, rnd.randrange(0, 20)))
+        seqs.append(skew_seq)
+        # one flipped element breaks the rule unless it is the centre
+        flip = rnd.randrange(skew_seq.n)
+        seqs.append(BinarySequence(skew_seq.bits ^ (1 << flip), skew_seq.n))
+    for seq in seqs:
+        assert is_skew_symmetric(seq) == ref_is_skew(seq.elements), seq.elements
 
 
 def test_flip_delta_length_three():
@@ -141,6 +192,28 @@ def test_exhaustive_tiny_lengths():
     mf3, w3 = exhaustive_best(3, skew_only=True)
     assert mf3 == Fraction(9, 2)  # Barker-3, E=1
     assert is_skew_symmetric(w3)
+
+
+@lru_cache(maxsize=None)
+def brute_force_best(n, skew_only):
+    """(mf, bits) over itertools.product and `ref_energy`: the smallest
+    packed value among the minimum-energy sequences (b_0 = +1 for full)."""
+    if skew_only:
+        seqs = [ref_expand(half) for half in product((-1, 1), repeat=n // 2 + 1)]
+    else:
+        seqs = [[1, *rest] for rest in product((-1, 1), repeat=n - 1)]
+    best = min((ref_energy(e), BinarySequence.from_elements(e).bits) for e in seqs)
+    return Fraction(n * n, 2 * best[0]), best[1]
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
+def test_exhaustive_witness_matches_brute_force(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(skew, "EXHAUSTIVE_BLOCK", block)
+    cases = [(n, False) for n in range(2, 13)] + [(n, True) for n in range(3, 20, 2)]
+    for n, skew_only in cases:
+        mf, witness = exhaustive_best(n, skew_only=skew_only)
+        assert (mf, witness.bits) == brute_force_best(n, skew_only), (n, skew_only)
 
 
 def test_exhaustive_caps():

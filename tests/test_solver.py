@@ -169,6 +169,15 @@ def test_outer_budget_terminates():
     assert result.stats.restarts == 4
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_budgets_count_from_zero(seed):
+    # t_inner = 5 allows 6 flips per restart and t_outer = 8 makes 9
+    # restarts, as the --ti/--to help says
+    cfg = SolverConfig(n=101, partition=(6, 3, 3), t_inner=5, t_outer=8, seed=seed)
+    result = run(cfg)
+    assert (result.stats.flips, result.stats.restarts) == (54, 9)
+
+
 def test_time_limit_stops_early():
     cfg = SolverConfig(n=61, partition=(3, 2), t_inner=10**6, t_outer=10**6,
                        seed=0, time_limit=0.3)
