@@ -17,17 +17,34 @@ suffix self-correlations, always even); growing n only widens the zero
 body, so potentials are length-invariant from n* on.  The normalized
 potential halves the tail entries before squaring, weighting the
 immutable head more heavily.
+
+Potentials are scored in exact int64 blocks (`_block_potentials`), one
+row per partition.  Every entry between the first k and the last k is
+zero, so only two groups of lags can be nonzero: lags u < k, where the
+prefix meets itself and the suffix meets itself, and lags n-k+m with
+|m| < k, where the prefix meets the suffix.  By the skew rule the
+suffix's self-correlation at lag u is (-1)^u times the prefix's, so
+the tail at lag u is twice the prefix's for even u and 0 for odd u; as
+in any skew-symmetric sequence every odd lag vanishes, so the prefix-
+suffix terms are needed only where n-k+m is even.  Each of those sums
+k-|m| products with k-|m| odd, so it is odd: below n = 3k, where the
+two groups overlap, some tail entry is odd and the length is refused.
+The groups are added (+=) into one array of the even lags all the
+same, so the kernel is exact at every odd n >= 2k+1.  `potential` scores a one-row
+block; `scan_potentials` and `best_partition` stream `POTENTIAL_BLOCK`
+partitions at a time from `enumerate_partitions`, so memory stays
+bounded by one block however many partitions a scan has.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import islice
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import TernarySequence, energy, sidelobes
+from .core import TernarySequence
 from .errors import DomainError
 from .skew import SkewHalf, expand_rows
 
@@ -36,6 +53,9 @@ PARTITION_COUNTS = (
     1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297,
     385, 490, 627, 792, 1002, 1255, 1575, 1958, 2436, 3010, 3718, 4565, 5604,
 )
+
+#: Partitions scored per `_block_potentials` call in a scan.
+POTENTIAL_BLOCK = 1024
 
 
 def _check_partition(partition: Sequence[int]) -> Tuple[int, ...]:
@@ -66,11 +86,17 @@ def enumerate_partitions(k: int, parts: Optional[int] = None,
             if parts is None or len(acc) == parts:
                 yield tuple(acc)
             return
-        # stop once all parts are used or too little is left to give
-        # each open part at least 1
-        if parts is not None and (len(acc) >= parts or remaining < parts - len(acc)):
-            return
-        for t in range(min(cap, remaining), 0, -1):
+        hi, lo = min(cap, remaining), 1
+        if parts is not None:
+            left = parts - len(acc)
+            if left == 0:
+                return
+            # leave at least 1 for each other open part; a non-increasing
+            # tail cannot fit below t once t < remaining / left
+            hi = min(hi, remaining - (left - 1))
+            if non_increasing:
+                lo = -(-remaining // left)
+        for t in range(hi, lo - 1, -1):
             acc.append(t)
             yield from rec(remaining - t, t if non_increasing else k, acc)
             acc.pop()
@@ -100,20 +126,19 @@ def restriction_class_size(n: int, k: int, skew: bool = False) -> int:
     return 2 ** (l - k + 1)
 
 
-def _projection(parts: Tuple[int, ...], n: int, leading: int) -> np.ndarray:
-    """Length-n ternary projection of checked `parts`: runs, zeros, forced suffix."""
+def _projection(rows: np.ndarray, k: int, n: int, leading: int) -> np.ndarray:
+    """(B, n) int8 ternary projections of a (B, g) block of checked
+    partitions of k: runs, zeros, forced suffix."""
     if leading not in (-1, 1):
         raise DomainError(f"leading sign must be -1 or +1, got {leading!r}")
-    k = sum(parts)
     if n % 2 == 0:
         raise DomainError(f"projection length must be odd, got {n}")
     if n < 2 * k + 1:
         raise DomainError(f"length {n} too short for partition of {k} (need >= {2 * k + 1})")
-    half = np.zeros(n // 2 + 1, dtype=np.int64)
-    start, sign = 0, leading
-    for t in parts:
-        half[start : start + t] = sign
-        start, sign = start + t, -sign
+    b, g = rows.shape
+    signs = np.resize(np.array([leading, -leading], dtype=np.int8), g)
+    half = np.zeros((b, n // 2 + 1), dtype=np.int8)
+    half[:, :k] = np.repeat(np.tile(signs, b), rows.ravel()).reshape(b, k)
     return expand_rows(half)
 
 
@@ -126,7 +151,7 @@ def project_partition(partition: Sequence[int], n: int,
     """
     parts = _check_partition(partition)
     k = sum(parts)
-    a = _projection(parts, n, leading)
+    a = _projection(np.array([parts]), k, n, leading)[0]
     return tuple(a[:k].tolist()), tuple(a[n - k :].tolist()), n - 2 * k
 
 
@@ -143,7 +168,7 @@ def potential_sequence(partition: Sequence[int], n: Optional[int] = None,
     k = sum(parts)
     if n is None:
         n = n_star(k)
-    return TernarySequence(_projection(parts, n, leading).tolist())
+    return TernarySequence(_projection(np.array([parts]), k, n, leading)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -152,6 +177,34 @@ class PotentialReport:
     potential: int
     normalized: int
     eval_length: int
+
+
+def _block_potentials(rows: np.ndarray, k: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact int64 (U, U*) arrays for a (B, g) block of checked
+    partitions of k, evaluated at odd length n >= 2k+1."""
+    a = _projection(rows, k, n, 1)
+    # position-major columns, one per partition; int32 products sum to at
+    # most k in magnitude, so they stay exact
+    p = np.ascontiguousarray(a[:, :k].T, dtype=np.int32)
+    s = np.ascontiguousarray(a[:, n - k :].T, dtype=np.int32)
+    c = np.zeros((n // 2 + 1, len(a)), dtype=np.int64)  # c[i] = C_{2i}; odd lags are 0
+    for u in range(2, k, 2):  # prefix and suffix self-correlations
+        c[u // 2] += 2 * np.einsum("ij,ij->j", p[: k - u], p[u:])
+    for m in range(1 - k, k, 2):  # prefix-suffix terms at even lags n-k+m
+        if m >= 0:
+            c[(n - k + m) // 2] += np.einsum("ij,ij->j", p[: k - m], s[m:])
+        else:
+            c[(n - k + m) // 2] += np.einsum("ij,ij->j", p[-m:], s[: k + m])
+    total = np.einsum("ij,ij->j", c, c)
+    tail = c[1 : k // 2 + 1]  # C_2, C_4 .. of C_1 .. C_k, the last k reversed-index entries
+    odd = np.flatnonzero(np.bitwise_or.reduce(tail, axis=0) & 1)
+    if odd.size:
+        raise DomainError(
+            f"odd tail sidelobe for partition {tuple(rows[odd[0]].tolist())}: length {n} "
+            f"is too short for separated head/body/tail sections (need n >= {n_star(k)})"
+        )
+    # every tail entry t is even, so (t/2)^2 = t^2/4 sums exactly
+    return total, total - 3 * (np.einsum("ij,ij->j", tail, tail) >> 2)
 
 
 def potential(partition: Sequence[int], n: Optional[int] = None) -> PotentialReport:
@@ -164,25 +217,29 @@ def potential(partition: Sequence[int], n: Optional[int] = None) -> PotentialRep
     k = sum(parts)
     if n is None:
         n = n_star(k)
-    a = _projection(parts, n, 1)
-    cs = np.correlate(a, a, mode="full")[n:]  # C_1 .. C_{n-1}
-    total = int(cs @ cs)
-    tail = cs[:k]  # C_1 .. C_k = last k reversed-index entries
-    if np.any(tail & 1):
-        raise DomainError(
-            f"odd tail sidelobe for partition {parts}: length {n} is too short "
-            f"for separated head/body/tail sections (need n >= {n_star(k)})"
-        )
-    half_tail = tail >> 1
-    norm = total - int(tail @ tail) + int(half_tail @ half_tail)
-    return PotentialReport(partition=parts, potential=total, normalized=norm,
-                           eval_length=n)
+    total, norm = _block_potentials(np.array([parts]), k, n)
+    return PotentialReport(partition=parts, potential=int(total[0]),
+                           normalized=int(norm[0]), eval_length=n)
+
+
+def _scan_blocks(k: int, parts: int) -> Iterator[Tuple[list, np.ndarray, np.ndarray]]:
+    """(partitions, U, U*) for consecutive blocks of at most
+    POTENTIAL_BLOCK non-increasing partitions of k into `parts` parts."""
+    found = enumerate_partitions(k, parts=parts)
+    while True:
+        block = list(islice(found, POTENTIAL_BLOCK))
+        if not block:
+            return
+        yield (block, *_block_potentials(np.array(block), k, n_star(k)))
 
 
 def scan_potentials(k: int, parts: int) -> list:
     """Potential reports for every non-increasing partition of k into
     exactly `parts` parts."""
-    return [potential(p) for p in enumerate_partitions(k, parts=parts)]
+    n = n_star(k)
+    return [PotentialReport(partition=p, potential=u, normalized=v, eval_length=n)
+            for block, total, norm in _scan_blocks(k, parts)
+            for p, u, v in zip(block, total.tolist(), norm.tolist())]
 
 
 def best_partition(k: int, parts: int, objective: str = "U") -> PotentialReport:
@@ -192,10 +249,16 @@ def best_partition(k: int, parts: int, objective: str = "U") -> PotentialReport:
     """
     if objective not in ("U", "Ustar"):
         raise DomainError(f"objective must be 'U' or 'Ustar', got {objective!r}")
-    # partitions come in descending lexicographic order and min keeps the
-    # first of equal keys
-    key = attrgetter("potential" if objective == "U" else "normalized")
-    return min((potential(p) for p in enumerate_partitions(k, parts=parts)), key=key)
+    # partitions come in descending lexicographic order; argmin keeps the
+    # first minimum of a block and the strict < the first block's
+    best = None
+    for block, total, norm in _scan_blocks(k, parts):
+        values = total if objective == "U" else norm
+        i = int(np.argmin(values))
+        if best is None or values[i] < best[0]:
+            best = (values[i], PotentialReport(partition=block[i], potential=int(total[i]),
+                                               normalized=int(norm[i]), eval_length=n_star(k)))
+    return best[1]
 
 
 def format_potential_table(reports: Sequence[PotentialReport]) -> str:
@@ -216,6 +279,6 @@ def sample_member(partition: Sequence[int], n: int, rng: np.random.Generator,
     """
     parts = _check_partition(partition)
     k = sum(parts)
-    half = _projection(parts, n, leading)[: n // 2 + 1]
+    half = _projection(np.array([parts]), k, n, leading)[0, : n // 2 + 1]
     half[k:] = 2 * rng.integers(0, 2, size=n // 2 + 1 - k) - 1
     return SkewHalf(tuple(half.tolist()))

@@ -43,7 +43,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import BinarySequence, SidelobeArray, merit_factor
+from .core import BinarySequence, SidelobeArray
 from .errors import DomainError
 
 #: When set (env LABSKIT_DEBUG_VERIFY=1), every apply_flip re-derives the

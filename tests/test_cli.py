@@ -145,6 +145,19 @@ def test_potentials_domain_error(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("mode", [[], ["--all"]], ids=["best", "all"])
+@pytest.mark.parametrize("k, parts", [(0, 1), (3, 0), (2, 5)],
+                         ids=["k-0", "parts-0", "parts-over-k"])
+def test_potentials_domain_error_both_paths(capsys, mode, k, parts):
+    code = main(["potentials", "--k", str(k), "--parts", str(parts), *mode])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_search_stream_self_consistent(capsys):
     code, recs = run_main(capsys, "search", "--n", "13", "--partition", "3",
                           "--ti", "500", "--to", "10", "--seed", "5")

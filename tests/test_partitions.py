@@ -1,9 +1,13 @@
 import random
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from labskit import partitions
 from labskit.core import BinarySequence, energy, sidelobes
 from labskit.errors import DomainError
 from labskit.partitions import (PARTITION_COUNTS, best_partition,
@@ -12,6 +16,7 @@ from labskit.partitions import (PARTITION_COUNTS, best_partition,
                                 project_partition, restriction_class_size,
                                 sample_member, scan_potentials,
                                 symmetry_class_count)
+from labskit.reference import ref_sidelobes
 from labskit.skew import expand
 from labskit.symmetry import canonical_form
 
@@ -46,6 +51,26 @@ def test_enumerate_compositions_match_itertools():
                  for cuts in combinations(range(1, k), p - 1)),
                 reverse=True)
             assert list(enumerate_partitions(k, parts=p, non_increasing=False)) == expected
+
+
+def all_compositions(k):
+    # a composition of k is a choice of cut points among 1..k-1
+    return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (k,)))
+            for p in range(k) for cuts in combinations(range(1, k), p)]
+
+
+def test_enumerate_order_matches_brute_force():
+    for k in range(1, 15):
+        comps = all_compositions(k)
+        for p in [None, *range(1, k + 1)]:
+            for non_increasing in (True, False):
+                expected = sorted(
+                    (c for c in comps
+                     if (p is None or len(c) == p)
+                     and (not non_increasing or all(a >= b for a, b in zip(c, c[1:])))),
+                    reverse=True)
+                assert list(enumerate_partitions(k, p, non_increasing)) == expected, \
+                    (k, p, non_increasing)
 
 
 def test_enumerate_errors():
@@ -183,6 +208,63 @@ def test_best_partition_matches_sorted_scan(objective, field):
         ranked = sorted(scan_potentials(k, parts),
                         key=lambda r: (getattr(r, field), [-t for t in r.partition]))
         assert best_partition(k, parts, objective) == ranked[0]
+
+
+def reference_potentials(parts, n):
+    """(U, U*) from the element-level sidelobes, or None when a tail entry
+    (one of the last k reversed-index sidelobes) is odd."""
+    k = sum(parts)
+    values = ref_sidelobes(potential_sequence(parts, n).elements)
+    body, tail = values[: n - 1 - k], values[n - 1 - k :]
+    if any(v % 2 for v in tail):
+        return None
+    return (sum(v * v for v in values),
+            sum(v * v for v in body) + sum((v // 2) ** 2 for v in tail))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), block=st.sampled_from([1, 7, partitions.POTENTIAL_BLOCK]))
+def test_scan_matches_reference_sidelobes(data, block):
+    k = data.draw(st.integers(1, 24), label="k")
+    parts = data.draw(st.integers(1, k), label="parts")
+    with mock.patch.object(partitions, "POTENTIAL_BLOCK", block):
+        reports = scan_potentials(k, parts)
+    assert [r.partition for r in reports] == list(enumerate_partitions(k, parts))
+    for r in reports:
+        assert r.eval_length == n_star(k)
+        assert (r.potential, r.normalized) == reference_potentials(r.partition, r.eval_length)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_potential_matches_reference_at_every_length(data):
+    # compositions too: the kernel does not assume non-increasing parts
+    k = data.draw(st.integers(1, 15), label="k")
+    parts = data.draw(st.sampled_from(all_compositions(k)), label="parts")
+    n = data.draw(st.sampled_from(range(2 * k + 1, n_star(k) + 5, 2)), label="n")
+    expected = reference_potentials(parts, n)
+    if expected is None:
+        with pytest.raises(DomainError, match="odd tail sidelobe"):
+            potential(parts, n)
+    else:
+        r = potential(parts, n)
+        assert (r.potential, r.normalized) == expected
+
+
+@pytest.mark.parametrize("block", [1, 7, None], ids=["block-1", "block-7", "default-block"])
+def test_best_partition_tie_rule_across_blocks(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(partitions, "POTENTIAL_BLOCK", block)
+    # (18, 9, 6, 4, 2, 2) and (17, 9, 6, 4, 3, 2) tie at 813; the first
+    # in the scan order wins, also when they sit in different blocks
+    r = best_partition(41, 6, "Ustar")
+    assert r.partition == (18, 9, 6, 4, 2, 2) and r.normalized == 813
+    if block == 7:
+        for k, parts in [(12, 3), (20, 5), (24, 6)]:
+            for objective, field in [("U", "potential"), ("Ustar", "normalized")]:
+                ranked = sorted(scan_potentials(k, parts),
+                                key=lambda r: (getattr(r, field), [-t for t in r.partition]))
+                assert best_partition(k, parts, objective) == ranked[0]
 
 
 def test_potential_length_invariance():
