@@ -42,24 +42,15 @@ def test_enumerate_compositions():
     assert len(list(enumerate_partitions(7, non_increasing=False))) == 64
 
 
-def test_enumerate_compositions_match_itertools():
-    for k in range(1, 11):
-        for p in range(1, k + 1):
-            # a composition of k into p parts is a choice of p-1 cut points
-            expected = sorted(
-                (tuple(b - a for a, b in zip((0,) + cuts, cuts + (k,)))
-                 for cuts in combinations(range(1, k), p - 1)),
-                reverse=True)
-            assert list(enumerate_partitions(k, parts=p, non_increasing=False)) == expected
-
-
 def all_compositions(k):
     # a composition of k is a choice of cut points among 1..k-1
     return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (k,)))
             for p in range(k) for cuts in combinations(range(1, k), p)]
 
 
-def test_enumerate_order_matches_brute_force():
+def test_enumerate_compositions_match_itertools():
+    # the pruned recursion against a brute-force filter, in descending
+    # lexicographic order
     for k in range(1, 15):
         comps = all_compositions(k)
         for p in [None, *range(1, k + 1)]:
@@ -202,12 +193,18 @@ def test_potential_table_rows():
 
 
 @pytest.mark.parametrize("objective, field", [("U", "potential"), ("Ustar", "normalized")])
-def test_best_partition_matches_sorted_scan(objective, field):
-    for k, parts in [(6, 2), (12, 3), (17, 4), (20, 5), (24, 6)]:
+def test_best_partition_matches_sorted_scan(monkeypatch, objective, field):
+    # (41, 6) holds a tie at U* = 813 (see test_potential_table_rows); the
+    # first minimum must win also when the tied partitions sit in different
+    # blocks
+    for k, parts in [(6, 2), (12, 3), (17, 4), (20, 5), (24, 6), (41, 6)]:
         # lowest value first; among equal values the lexicographically largest
         ranked = sorted(scan_potentials(k, parts),
                         key=lambda r: (getattr(r, field), [-t for t in r.partition]))
-        assert best_partition(k, parts, objective) == ranked[0]
+        for block in (1, 7, partitions.POTENTIAL_BLOCK):
+            with monkeypatch.context() as m:
+                m.setattr(partitions, "POTENTIAL_BLOCK", block)
+                assert best_partition(k, parts, objective) == ranked[0], (k, parts, block)
 
 
 def reference_potentials(parts, n):
@@ -249,22 +246,6 @@ def test_potential_matches_reference_at_every_length(data):
     else:
         r = potential(parts, n)
         assert (r.potential, r.normalized) == expected
-
-
-@pytest.mark.parametrize("block", [1, 7, None], ids=["block-1", "block-7", "default-block"])
-def test_best_partition_tie_rule_across_blocks(monkeypatch, block):
-    if block is not None:
-        monkeypatch.setattr(partitions, "POTENTIAL_BLOCK", block)
-    # (18, 9, 6, 4, 2, 2) and (17, 9, 6, 4, 3, 2) tie at 813; the first
-    # in the scan order wins, also when they sit in different blocks
-    r = best_partition(41, 6, "Ustar")
-    assert r.partition == (18, 9, 6, 4, 2, 2) and r.normalized == 813
-    if block == 7:
-        for k, parts in [(12, 3), (20, 5), (24, 6)]:
-            for objective, field in [("U", "potential"), ("Ustar", "normalized")]:
-                ranked = sorted(scan_potentials(k, parts),
-                                key=lambda r: (getattr(r, field), [-t for t in r.partition]))
-                assert best_partition(k, parts, objective) == ranked[0]
 
 
 def test_potential_length_invariance():
