@@ -54,8 +54,13 @@ PARTITION_COUNTS = (
     385, 490, 627, 792, 1002, 1255, 1575, 1958, 2436, 3010, 3718, 4565, 5604,
 )
 
-#: Partitions scored per `_block_potentials` call in a scan.
-POTENTIAL_BLOCK = 1024
+#: Partitions scored per `_block_potentials` call in a scan.  Sized so
+#: that at k = 68 every buffer of a block stays under glibc malloc's
+#: initial 128 KiB mmap threshold: freeing a larger mmap-ed buffer raises
+#: the threshold for the rest of the process, which moves later large
+#: arrays onto the heap and so changes the peak memory of whatever runs
+#: after a scan (an `exhaustive_best` call, say).
+POTENTIAL_BLOCK = 256
 
 
 def _check_partition(partition: Sequence[int]) -> Tuple[int, ...]:
@@ -183,19 +188,23 @@ def _block_potentials(rows: np.ndarray, k: int, n: int) -> Tuple[np.ndarray, np.
     """Exact int64 (U, U*) arrays for a (B, g) block of checked
     partitions of k, evaluated at odd length n >= 2k+1."""
     a = _projection(rows, k, n, 1)
-    # position-major columns, one per partition; int32 products sum to at
-    # most k in magnitude, so they stay exact
+    # position-major columns, one per partition; a lag sums at most k
+    # products of +-1, so int32 holds every entry exactly
     p = np.ascontiguousarray(a[:, :k].T, dtype=np.int32)
     s = np.ascontiguousarray(a[:, n - k :].T, dtype=np.int32)
-    c = np.zeros((n // 2 + 1, len(a)), dtype=np.int64)  # c[i] = C_{2i}; odd lags are 0
-    for u in range(2, k, 2):  # prefix and suffix self-correlations
-        c[u // 2] += 2 * np.einsum("ij,ij->j", p[: k - u], p[u:])
-    for m in range(1 - k, k, 2):  # prefix-suffix terms at even lags n-k+m
+    c = np.zeros((n // 2 + 1, len(a)), dtype=np.int32)  # c[i] = C_{2i}; odd lags are 0
+    head = c[1 : (k + 1) // 2]  # prefix and suffix self-correlations, lags 2 .. k-1
+    for i, u in enumerate(range(2, k, 2)):
+        np.einsum("ij,ij->j", p[: k - u], p[u:], out=head[i])
+    head *= 2
+    cross = np.empty((k, len(a)), dtype=np.int32)  # prefix-suffix terms, even lags n-k+m
+    for i, m in enumerate(range(1 - k, k, 2)):
         if m >= 0:
-            c[(n - k + m) // 2] += np.einsum("ij,ij->j", p[: k - m], s[m:])
+            np.einsum("ij,ij->j", p[: k - m], s[m:], out=cross[i])
         else:
-            c[(n - k + m) // 2] += np.einsum("ij,ij->j", p[-m:], s[: k + m])
-    total = np.einsum("ij,ij->j", c, c)
+            np.einsum("ij,ij->j", p[-m:], s[: k + m], out=cross[i])
+    c[(n - 2 * k + 1) // 2 :] += cross  # overlaps the head below n = 3k
+    total = np.einsum("ij,ij->j", c, c, dtype=np.int64)
     tail = c[1 : k // 2 + 1]  # C_2, C_4 .. of C_1 .. C_k, the last k reversed-index entries
     odd = np.flatnonzero(np.bitwise_or.reduce(tail, axis=0) & 1)
     if odd.size:
@@ -204,7 +213,7 @@ def _block_potentials(rows: np.ndarray, k: int, n: int) -> Tuple[np.ndarray, np.
             f"is too short for separated head/body/tail sections (need n >= {n_star(k)})"
         )
     # every tail entry t is even, so (t/2)^2 = t^2/4 sums exactly
-    return total, total - 3 * (np.einsum("ij,ij->j", tail, tail) >> 2)
+    return total, total - 3 * (np.einsum("ij,ij->j", tail, tail, dtype=np.int64) >> 2)
 
 
 def potential(partition: Sequence[int], n: Optional[int] = None) -> PotentialReport:

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from itertools import combinations, product
 from unittest import mock
 
@@ -205,6 +207,28 @@ def test_best_partition_matches_sorted_scan(monkeypatch, objective, field):
             with monkeypatch.context() as m:
                 m.setattr(partitions, "POTENTIAL_BLOCK", block)
                 assert best_partition(k, parts, objective) == ranked[0], (k, parts, block)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+def test_scan_leaves_later_peak_memory_alone():
+    # a scan block's buffers stay under malloc's 128 KiB mmap threshold;
+    # a larger freed buffer would raise it, and an exhaustive search run
+    # after the scan would then peak ~8 MB lower than one run before it
+    code = ("import resource, sys\n"
+            "from labskit import partitions, skew\n"
+            "for tool in sys.argv[1:]:\n"
+            "    if tool == 'scan':\n"
+            "        partitions.best_partition(68, 7, 'U')\n"
+            "    else:\n"
+            "        skew.exhaustive_best(18)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+
+    def peak_kib(*tools):
+        out = subprocess.run([sys.executable, "-c", code, *tools], capture_output=True,
+                             text=True, timeout=120, check=True)
+        return int(out.stdout)
+
+    assert abs(peak_kib("scan", "search") - peak_kib("search", "scan")) < 3 * 1024
 
 
 def reference_potentials(parts, n):
