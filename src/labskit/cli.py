@@ -127,6 +127,7 @@ def _cmd_search(args) -> int:
         time_limit=time_limit,
         policy=args.policy,
     )
+    config.validate()  # before the config record, which would echo a bad value
     t0 = time.monotonic()
     header = {
         "command": "search",

@@ -204,16 +204,13 @@ def pss_sidelobe_check(seq: BinarySequence) -> bool:
     return all(abs(arr[i]) == 1 for i in range(0, len(arr), 2))
 
 
-def pss_energy_floor(seq: BinarySequence) -> int:
-    """Count of even reversed indices: the fixed +-1 energy contribution."""
+def pss_energy_decomposition(seq: BinarySequence) -> tuple:
+    """(floor, odd-index contribution); their sum equals the energy.
+
+    The floor counts the n/2 even reversed indices, whose +-1 sidelobes
+    add 1 each."""
     if not is_pseudo_skew_symmetric(seq):
         raise DomainError("energy floor needs a pseudo-skew-symmetric input")
-    return (seq.n - 1 + 1) // 2
-
-
-def pss_energy_decomposition(seq: BinarySequence) -> tuple:
-    """(floor, odd-index contribution); their sum equals the energy."""
-    floor = pss_energy_floor(seq)
     arr = sidelobes(seq)
     odd = sum(arr[i] ** 2 for i in range(1, len(arr), 2))
-    return floor, odd
+    return seq.n // 2, odd

@@ -28,14 +28,32 @@ b_p*b_{p+u} = b_{q-u}*b_q, so the four products fold into
 
 on a zero-padded sequence, minus the term pairing q with p itself
 (u = n-1-2q, both endpoints flipped, hence unchanged).  The center q = l
-flips a single bit and takes the factor 1 instead of 2.  One gather over
-a block of candidate rows scores every neighbour of a walk step at once
-(`flip_deltas`).  Exactness is enforced against full recomputation in
-the test suite, and optionally at runtime via LABSKIT_DEBUG_VERIFY=1.
+flips a single bit and takes the factor f_q = 1 instead of 2.
+`apply_flip` and `flip_delta` sum that one row of T_u.
+
+`flip_deltas` scores every neighbour of a walk step at once by
+expanding the square instead (b_q^2 = 1):
+
+    E' - E = 4 * (f_q^2 * S_q - f_q * b_q * A_q),
+    A_q    = sum_u C_u * (b_{q+u} + b_{q-u}),
+    S_q    = sum_u (b_{q+u} + b_{q-u})^2
+           = #{in-range b_{q+u}, b_{q-u}} + 2 * sum_u b_{q+u}*b_{q-u}.
+
+A_q for all q is a correlation of the padded sequence with C mirrored
+onto the negative lags, one per parity of q as the odd lags are zero;
+the sum in S_q is read off the self-convolution of the elements of q's
+parity at index 2q.  For q < l the mirror term
+at u = n-1-2q comes off both: S_q loses 1 + 2*b_{q-u}*b_p (b_{q-u} = 0
+below the sequence) and A_q loses b_p*C_u.  Every sum is an integer of
+magnitude at most a few n^2, far below 2^53, so the scan runs in
+float64 and is exact in any summation order.  Exactness is enforced
+against the one-row form and full recomputation in the test suite, and
+optionally at runtime via LABSKIT_DEBUG_VERIFY=1.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,11 +65,9 @@ from .core import BinarySequence, SidelobeArray
 from .errors import DomainError
 
 #: When set (env LABSKIT_DEBUG_VERIFY=1), every apply_flip re-derives the
-#: correlation array from scratch and asserts agreement.
+#: correlation array from scratch and asserts agreement, and checks the
+#: scan's float copy of the sequence.
 DEBUG_VERIFY = os.environ.get("LABSKIT_DEBUG_VERIFY", "") not in ("", "0")
-
-#: Entries per block of the neighbour-scan gather in `flip_deltas`.
-GATHER_ELEMENTS = 8192
 
 #: Packed values per block of exhaustive_best.
 EXHAUSTIVE_BLOCK = 1 << 16
@@ -121,11 +137,14 @@ class SkewSearchState:
     Keeps the expanded elements `e`, the correlation array `c`
     (c[u] = C_u, c[0] = n; odd entries identically zero) and the exact
     energy, all updated in O(n) per flip.  `e` is a view into a copy of
-    the sequence zero-padded by n-1 on both sides, so that b_{q+u} and
-    b_{q-u} can be gathered for every shift without bounds masks.
+    the sequence zero-padded by n-1 on both sides, and `c` is the right
+    half of the correlations at every lag -(n-1)..n-1.  The neighbour
+    scan reads those mirrored correlations and a float64 copy of the
+    padded sequence, which `apply_flip` keeps in step.
     """
 
-    __slots__ = ("n", "l", "e", "c", "energy", "half_bits", "_padded", "_even_shifts")
+    __slots__ = ("n", "l", "e", "c", "energy", "half_bits", "_padded", "_padded_f",
+                 "_c_mirror")
 
     def __init__(self, half: SkewHalf):
         self.l = half.l
@@ -133,11 +152,11 @@ class SkewSearchState:
         self._padded = np.zeros(3 * self.n - 2, dtype=np.int64)
         self.e = self._padded[self.n - 1 : 2 * self.n - 1]
         self.e[:] = expand_rows(np.array(half.elements))
-        corr = np.correlate(self.e, self.e, mode="full")
-        self.c = corr[self.n - 1 :].astype(np.int64)
+        self._padded_f = self._padded.astype(np.float64)
+        self._c_mirror = np.correlate(self.e, self.e, mode="full")
+        self.c = self._c_mirror[self.n - 1 :]
         self.energy = int(np.sum(self.c[1:] ** 2))
         self.half_bits = _pack_half(half.elements)
-        self._even_shifts = np.arange(2, self.n, 2)
 
     @classmethod
     def from_sequence(cls, seq: BinarySequence) -> "SkewSearchState":
@@ -157,64 +176,117 @@ class SkewSearchState:
     def merit_factor(self) -> Fraction:
         return Fraction(self.n * self.n, 2 * self.energy)
 
-    def _terms(self, qs: np.ndarray) -> np.ndarray:
-        """T_u for flipping each q in `qs` (one row per q, columns u = 2, 4, .., n-1)."""
-        l = self.l
-        base = (self.n - 1 + qs)[:, None]
-        t = self._padded[base + self._even_shifts] + self._padded[base - self._even_shifts]
-        # at u = n-1-2q the product b_q*b_p has both ends flipped: unchanged
-        rows = np.flatnonzero(qs < l)
-        paired = qs[rows]
-        t[rows, l - 1 - paired] -= self.e[self.n - 1 - paired]
-        t *= ((2 - (qs == l)) * self.e[qs])[:, None]
+    def _terms(self, q: int) -> np.ndarray:
+        """T_u for flipping q, u = 2, 4, .., n-1; raises for q outside [0, l]."""
+        n, l = self.n, self.l
+        if not 0 <= q <= l:
+            raise DomainError(f"flip index {q} out of range [0, {l}]")
+        # b_{q+u} and b_{q-u} sit at padded indices n-1+q+u and n-1+q-u
+        t = self._padded[n + 1 + q : 2 * n - 1 + q : 2] + self._padded[q : n - 2 + q : 2][::-1]
+        if q < l:
+            # at u = n-1-2q the product b_q*b_p has both ends flipped: unchanged
+            t[l - 1 - q] -= self.e[n - 1 - q]
+        t *= (1 if q == l else 2) * self.e[q]
         return t
 
     def flip_deltas(self, qs) -> np.ndarray:
         """E(after flip at q) - E(now) for every q in `qs`, exact, without mutating.
 
-        Rows are gathered in blocks of about `GATHER_ELEMENTS` entries, so
-        a scan over all l+1 positions never allocates O(n^2).
+        Scores all l+1 positions at once by the correlation form of the
+        module docstring, with even q and odd q in separate halves, and
+        returns the entries `qs` asks for.
         """
         qs = np.asarray(qs, dtype=np.int64)
-        out = np.empty(qs.shape[0], dtype=np.int64)
         if not qs.shape[0]:
-            return out
+            return np.empty(0, dtype=np.int64)
         lo, hi = int(qs.min()), int(qs.max())
         if lo < 0 or hi > self.l:
             bad = lo if lo < 0 else hi
             raise DomainError(f"flip index {bad} out of range [0, {self.l}]")
-        c_even = self.c[2::2]
-        rows = max(1, GATHER_ELEMENTS // max(self.l, 1))
-        for i in range(0, qs.shape[0], rows):
-            t = self._terms(qs[i : i + rows])
-            out[i : i + rows] = 4 * np.einsum("ij,ij->i", t, t - c_even)
-        return out
+        n, l = self.n, self.l
+        if not l:  # n = 1: no shifts to correlate, and its one flip keeps E = 0
+            return np.zeros(qs.shape[0], dtype=np.int64)
+        weights, constant, pos = _scan_tables(n)
+        evens, odds = (l + 2) // 2, (l + 1) // 2  # even and odd q in 0..l
+        padded, c = self._padded_f, self._c_mirror
+        e = padded[n - 1 : 2 * n - 1]
+        e0, e1 = e[0::2], e[1::2]
+        lags = c[0::2]  # C_|v| at the even lags v = -(n-1)..n-1, C_0 = n included
+        rows = np.concatenate((
+            # 1 + 2 sum_u b_{q+u} b_{q-u}: self-convolution of q's parity class at 2q
+            np.convolve(e0, e0)[: 2 * evens : 2], np.convolve(e1, e1)[: 2 * odds : 2],
+            # C_u at the mirror shift u = n-1-2q
+            c[0 : 4 * evens : 4], c[2 : 4 * odds : 4],
+            # sum_v C_|v| b_{q+v} over the even lags
+            np.correlate(padded[0::2][: evens + 2 * l], lags, "valid"),
+            np.correlate(padded[1::2][: odds + 2 * l], lags, "valid"),
+            # b_{q-u} at the mirror shift u = n-1-2q, 0 below the sequence
+            padded[0 : 6 * evens : 6], padded[3 : 6 * odds : 6],
+            e0[:evens], e1[:odds],
+        )).reshape(5, l + 1)
+        rows[2:4] *= rows[4]
+        deltas = np.einsum("ij,ij->j", weights, rows[:4]) + constant
+        return deltas.astype(np.int64)[pos[qs]]
 
     def flip_delta(self, q: int) -> int:
-        """E(after flip at q) - E(now), exact, without mutating."""
-        return int(self.flip_deltas([q])[0])
+        """E(after flip at q) - E(now), exact, without mutating.
+
+        Sums the one row of `_terms`, independently of `flip_deltas`."""
+        t = self._terms(q)
+        return int(4 * np.dot(t, t - self.c[2::2]))
 
     def apply_flip(self, q: int) -> None:
         """Flip position q (pairing with n-1-q for q < l), in place."""
-        if not 0 <= q <= self.l:
-            raise DomainError(f"flip index {q} out of range [0, {self.l}]")
-        t = self._terms(np.array([q]))[0]
-        c_even = self.c[2::2]
+        t = self._terms(q)
+        n, c_even = self.n, self.c[2::2]
         self.energy += int(4 * np.dot(t, t - c_even))
-        c_even -= 2 * t
-        self.e[q] = -self.e[q]
-        if q != self.l:
-            self.e[self.n - 1 - q] = -self.e[self.n - 1 - q]
+        t *= 2
+        c_even -= t
+        self._c_mirror[n - 3 :: -2] -= t  # the same shifts on the negative lags
+        for i in ((q,) if q == self.l else (q, n - 1 - q)):
+            self.e[i] = -self.e[i]
+            self._padded_f[n - 1 + i] = -self._padded_f[n - 1 + i]
         self.half_bits ^= 1 << q
         if DEBUG_VERIFY:
             self._verify()
 
     def _verify(self) -> None:
-        corr = np.correlate(self.e, self.e, mode="full")[self.n - 1 :]
-        if not np.array_equal(corr, self.c):
+        corr = np.correlate(self.e, self.e, mode="full")
+        if not np.array_equal(corr, self._c_mirror):
             raise AssertionError("incremental correlations diverged from recompute")
-        if self.energy != int(np.sum(corr[1:] ** 2)):
+        if self.energy != int(np.sum(corr[self.n :] ** 2)):
             raise AssertionError("incremental energy diverged from recompute")
+        if not np.array_equal(self._padded_f, self._padded):
+            raise AssertionError("float copy of the padded sequence diverged")
+
+
+@functools.lru_cache(maxsize=16)
+def _scan_tables(n: int) -> tuple:
+    """Per-length constants of `flip_deltas`, in its column order (even q,
+    then odd q): the weights of its four rows, the constant term, and the
+    column of each q.
+
+    With m = n-1-2q the mirror shift, s_q = b_q*b_p = (-1)^(l-q) by the
+    skew rule (0 at the centre), P_q = 1 + 2*sum_u b_{q+u}*b_{q-u} and
+    A'_q = sum_v C_|v|*b_{q+v} over every even lag v, 0 included, the
+    module docstring's energy change is
+
+        4f^2*P_q + 4f*s_q*C_m - 4f*b_q*A'_q - 8f^2*s_q*b_q*b_{q-m}
+        + 4f^2*(in-range count - 1 - [q < l]) + 4f*n.
+    """
+    l = n // 2
+    q = np.concatenate((np.arange(0, l + 1, 2), np.arange(1, l + 1, 2)))
+    f = np.where(q == l, 1, 2)
+    paired = q < l
+    sign = np.where((l - q) % 2, -1, 1) * paired  # b_q * b_p by the skew rule
+    in_range = (n - 1 - q) // 2 + q // 2  # even u with b_{q+u} or b_{q-u} in range
+    weights = np.stack((4 * f * f, 4 * f * sign, -4 * f, -8 * f * f * sign)).astype(np.float64)
+    constant = (4 * f * f * (in_range - 1 - paired) + 4 * f * n).astype(np.float64)
+    pos = np.empty(l + 1, dtype=np.int64)
+    pos[q] = np.arange(l + 1)
+    for table in (weights, constant, pos):
+        table.setflags(write=False)
+    return weights, constant, pos
 
 
 # --- exhaustive search -----------------------------------------------------

@@ -109,11 +109,12 @@ class SolverConfig:
             raise DomainError(f"inner threshold must be >= 1, got {self.t_inner}")
         if self.t_outer < 1:
             raise DomainError(f"outer threshold must be >= 1, got {self.t_outer}")
-        if self.t_activate < 0:
+        # written so that NaN, which fails every comparison, is refused too
+        if not self.t_activate >= 0:
             raise DomainError(f"activation threshold must be >= 0, got {self.t_activate}")
         if self.workers < 1:
             raise DomainError(f"worker count must be >= 1, got {self.workers}")
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:
             raise DomainError(f"time limit must be positive, got {self.time_limit}")
         if self.policy not in POLICIES:
             raise DomainError(f"policy must be one of {POLICIES}, got {self.policy!r}")

@@ -192,6 +192,23 @@ def test_search_usage_error(capsys):
     assert code == 3  # even length is a domain refusal
 
 
+@pytest.mark.parametrize("flags, env", [
+    (["--budget", "nan"], {}),
+    ([], {"LABSKIT_TIME_LIMIT": "nan"}),
+    (["--ta", "nan"], {}),
+], ids=["budget", "env-time-limit", "ta"])
+def test_search_nan_budget_is_domain_error(capsys, monkeypatch, flags, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code = main(["search", "--n", "21", "--partition", "1,1,2,2", "--ti", "200",
+                 "--to", "2", *flags])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert "nan" not in captured.out.lower()
+
+
 SEARCH_ARGS = ["search", "--n", "21", "--partition", "1,1,2,2", "--ti", "300",
                "--to", "6", "--seed", "17"]
 

@@ -1,15 +1,15 @@
 """Differential tests of the vectorised walk step against loop and
-reference implementations, over random odd lengths 3..151."""
+reference implementations, over random odd lengths 3..151 (the
+neighbour scan up to 2001)."""
 
 import math
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labskit import skew
 from labskit.pseudo import (append_delta, boundary_sums, materialize, probe_energies,
                             probe_neighbors, probe_tables, truncate_delta)
 from labskit.reference import ref_energy
@@ -34,20 +34,45 @@ def flipped(elements, q):
     return out
 
 
-@settings(max_examples=150, deadline=None)
-@given(half=skew_halves(), data=st.data(),
-       gather=st.sampled_from([1, 7, 64, skew.GATHER_ELEMENTS]))
-def test_flip_deltas_match_single_and_reference(half, data, gather):
-    state = SkewSearchState(half)
-    k = data.draw(st.integers(0, state.l))
-    qs = data.draw(st.permutations(range(k, state.l + 1)))
-    with mock.patch.object(skew, "GATHER_ELEMENTS", gather):
-        deltas = dict(zip(qs, state.flip_deltas(qs).tolist()))
+def check_scan(state, qs, ref_qs):
+    """`flip_deltas` over `qs`, in that order, equals the one-row
+    `flip_delta` at every q, and full recomputation at each of `ref_qs`."""
+    deltas = dict(zip(qs, state.flip_deltas(qs).tolist()))
     assert deltas == {q: state.flip_delta(q) for q in qs}
     elements = [int(x) for x in state.e]
     assert state.energy == ref_energy(elements)
-    for q in data.draw(st.lists(st.sampled_from(qs), max_size=6)):
+    for q in ref_qs:
         assert deltas[q] == ref_energy(flipped(elements, q)) - state.energy
+
+
+def edge_rows(l, qs):
+    """The scanned rows among the centre q = l and the first row whose
+    mirror term pairs with an in-range b_{q-u} (3q >= n-1), and the row before it."""
+    first = -(-2 * l // 3)
+    return sorted({l, first, first - 1} & set(qs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(half=skew_halves(max_l=1000), data=st.data())
+def test_flip_deltas_match_single_and_reference(half, data):
+    state = SkewSearchState(half)
+    for q in data.draw(st.lists(st.integers(0, state.l), max_size=3)):
+        state.apply_flip(q)  # the scan reads buffers that apply_flip keeps in step
+    k = data.draw(st.integers(0, state.l))
+    qs = data.draw(st.permutations(range(k, state.l + 1)))
+    ref_qs = edge_rows(state.l, qs) + data.draw(st.lists(st.sampled_from(qs), max_size=1))
+    check_scan(state, qs, ref_qs)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 1001, 2001])
+def test_flip_deltas_at_fixed_lengths(n):
+    rng = np.random.default_rng(n)
+    l = n // 2
+    state = SkewSearchState(SkewHalf(tuple(int(x) for x in rng.choice((-1, 1), l + 1))))
+    for _ in range(2):
+        qs = rng.permutation(np.arange(rng.integers(0, l + 1), l + 1)).tolist()
+        check_scan(state, qs, edge_rows(l, qs) + qs[:1])
+        state.apply_flip(int(rng.integers(0, l + 1)))
 
 
 @settings(max_examples=150, deadline=None)

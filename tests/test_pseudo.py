@@ -168,6 +168,8 @@ def test_energy_decomposition():
         floor, odd = pss_energy_decomposition(p)
         assert floor == p.n // 2
         assert floor + odd == energy(p)
+    with pytest.raises(DomainError, match="pseudo-skew-symmetric"):
+        pss_energy_decomposition(BinarySequence.from_elements([1, 1, 1, 1]))
 
 
 def test_truncate_reversal_symmetry():

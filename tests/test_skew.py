@@ -12,6 +12,7 @@ from labskit.errors import DomainError
 from labskit.reference import ref_energy
 from labskit.skew import (SkewHalf, SkewSearchState, exhaustive_best, expand,
                           expand_rows, is_skew_symmetric)
+from labskit.solver import SolverConfig, run
 
 
 def random_half(rnd, l):
@@ -184,6 +185,16 @@ def test_debug_verify_shadow_recompute(monkeypatch):
     for q in (0, 5, 15, 5):
         st.apply_flip(q)  # raises if the incremental update ever diverges
     assert st.energy == energy(st.sequence())
+
+
+def test_debug_verify_walk_checks_float_copy(monkeypatch):
+    monkeypatch.setattr(skew, "DEBUG_VERIFY", True)
+    config = SolverConfig(n=41, partition=(2, 1), t_inner=40, t_outer=2, seed=5)
+    assert run(config).stats.flips > 40  # every flip re-derived and checked
+    st = SkewSearchState(random_half(random.Random(26), 20))
+    st._padded_f[st.n - 1] *= -1  # as if apply_flip had missed the scan's copy
+    with pytest.raises(AssertionError, match="float copy"):
+        st.apply_flip(3)
 
 
 def test_exhaustive_tiny_lengths():

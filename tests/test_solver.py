@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -26,14 +27,18 @@ def test_config_validation():
         dict(n=21, partition=(2,), t_inner=0),
         dict(n=21, partition=(2,), t_outer=0),
         dict(n=21, partition=(2,), t_activate=-1.0),
+        dict(n=21, partition=(2,), t_activate=math.nan),
         dict(n=21, partition=(2,), workers=0),
         dict(n=21, partition=(2,), time_limit=0.0),
+        dict(n=21, partition=(2,), time_limit=math.nan),
         dict(n=21, partition=(2,), policy="greedy"),
         dict(n=21, partition=(2,), leading=2),
     ]
     for kw in cases:
         with pytest.raises(DomainError):
             SolverConfig(**kw).validate()
+    # an infinite budget or threshold is a valid "never"
+    SolverConfig(n=21, partition=(2,), t_activate=math.inf, time_limit=math.inf).validate()
 
 
 def test_hash_is_stable_and_length_prefixed():

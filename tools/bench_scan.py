@@ -1,0 +1,126 @@
+"""Time the walk's neighbour scan and the search throughput of a source tree.
+
+    python3 tools/bench_scan.py --label change
+    python3 tools/bench_scan.py --src ../other-checkout/src --label parent
+
+Measures, single-threaded:
+
+* `SkewSearchState.flip_deltas` per call over the free range q = 12..l
+  (the range of a (6,3,3) search), on a seeded random state, at
+  n in SCAN_LENGTHS;
+* `solver.run` flips/s with partition (6,3,3), seed 1 and a fixed flip
+  budget per length, at n in RUN_LENGTHS, with the sha256 of the event
+  stream, so that two trees can be checked for byte-identical output.
+
+Each number is the median of REPEATS repeats.  The result is stored under
+`--label` in the JSON file `--out` (default BENCH_scan.json at the root
+of the repository); other labels already in that file are kept.
+"""
+
+from __future__ import annotations
+
+import os
+
+# single-threaded numerics; set before numpy is imported
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCAN_LENGTHS = (101, 201, 401, 1001, 2001)
+#: n -> (t_inner, t_outer): (t_inner + 1) * (t_outer + 1) flips at most
+RUN_BUDGETS = {101: (2000, 4), 201: (1000, 4), 401: (500, 2), 1001: (200, 1)}
+PARTITION = (6, 3, 3)
+SEED = 1
+REPEATS = 5
+#: seconds one scan repeat should take, roughly
+SCAN_REPEAT_S = 0.2
+
+
+def time_scan(n: int) -> dict:
+    import numpy as np
+    from labskit.skew import SkewHalf, SkewSearchState
+
+    rng = np.random.default_rng(n)
+    state = SkewSearchState(SkewHalf(tuple(int(x) for x in rng.choice((-1, 1), n // 2 + 1))))
+    free = np.arange(sum(PARTITION), state.l + 1)
+    t0 = time.perf_counter()
+    state.flip_deltas(free)
+    calls = max(1, int(SCAN_REPEAT_S / max(time.perf_counter() - t0, 1e-6)))
+    per_call = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            state.flip_deltas(free)
+        per_call.append((time.perf_counter() - t0) / calls)
+    return {"n": n, "median_us": statistics.median(per_call) * 1e6,
+            "repeats_us": [t * 1e6 for t in per_call], "calls_per_repeat": calls}
+
+
+def time_run(n: int) -> dict:
+    from labskit.solver import SolverConfig, run
+
+    t_inner, t_outer = RUN_BUDGETS[n]
+    config = SolverConfig(n=n, partition=PARTITION, t_inner=t_inner, t_outer=t_outer,
+                          seed=SEED)
+    rates, digests, flips = [], set(), set()
+    for _ in range(REPEATS):
+        events = []
+        t0 = time.perf_counter()
+        result = run(config, on_event=events.append)
+        wall = time.perf_counter() - t0
+        rates.append(result.stats.flips / wall)
+        flips.add(result.stats.flips)
+        h = hashlib.sha256()
+        for ev in events:
+            h.update(json.dumps(ev, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        digests.add(h.hexdigest())
+    if len(digests) != 1 or len(flips) != 1:
+        raise SystemExit(f"n={n}: repeats of one seeded run disagree")
+    return {"n": n, "t_inner": t_inner, "t_outer": t_outer, "flips": flips.pop(),
+            "median_flips_per_s": statistics.median(rates), "repeats_flips_per_s": rates,
+            "events_sha256": digests.pop()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", default=str(ROOT / "src"), help="labskit source tree to time")
+    ap.add_argument("--label", required=True, help="key of this run in the output file")
+    ap.add_argument("--out", default=str(ROOT / "BENCH_scan.json"))
+    args = ap.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import numpy as np
+
+    entry = {
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "machine": platform.machine(), "cpus": os.cpu_count(),
+                        "threads": 1},
+        "partition": list(PARTITION),
+        "seed": SEED,
+        "repeats": REPEATS,
+        "scan": [time_scan(n) for n in SCAN_LENGTHS],
+        "run": [time_run(n) for n in RUN_BUDGETS],
+    }
+    out = Path(args.out)
+    data = json.loads(out.read_text()) if out.exists() else {}
+    data[args.label] = entry
+    out.write_text(json.dumps(data, indent=1) + "\n")
+    for row in entry["scan"]:
+        print(f"scan n={row['n']}: {row['median_us']:.1f} us/call")
+    for row in entry["run"]:
+        print(f"run n={row['n']}: {row['median_flips_per_s']:.0f} flips/s "
+              f"({row['flips']} flips, events {row['events_sha256'][:12]})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
