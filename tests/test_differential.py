@@ -19,8 +19,8 @@ from labskit.solver import (POLICIES, POLICY_STRICT_DESCENT, activation_energy_b
 
 
 @st.composite
-def skew_halves(draw, max_l=75):
-    l = draw(st.integers(1, max_l))
+def skew_halves(draw, max_l=75, min_l=1):
+    l = draw(st.integers(min_l, max_l))
     bits = draw(st.integers(0, (1 << (l + 1)) - 1))
     return SkewHalf(tuple(1 if bits >> i & 1 else -1 for i in range(l + 1)))
 
@@ -52,9 +52,8 @@ def edge_rows(l, qs):
     return sorted({l, first, first - 1} & set(qs))
 
 
-@settings(max_examples=60, deadline=None)
-@given(half=skew_halves(max_l=1000), data=st.data())
-def test_flip_deltas_match_single_and_reference(half, data):
+def check_drawn_scan(half, data):
+    """Scan a drawn free range, in drawn order, after up to 3 drawn flips."""
     state = SkewSearchState(half)
     for q in data.draw(st.lists(st.integers(0, state.l), max_size=3)):
         state.apply_flip(q)  # the scan reads buffers that apply_flip keeps in step
@@ -64,7 +63,19 @@ def test_flip_deltas_match_single_and_reference(half, data):
     check_scan(state, qs, ref_qs)
 
 
-@pytest.mark.parametrize("n", [1, 3, 5, 1001, 2001])
+@settings(max_examples=150, deadline=None)
+@given(half=skew_halves(), data=st.data())
+def test_flip_deltas_match_single_and_reference(half, data):
+    check_drawn_scan(half, data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(half=skew_halves(min_l=76, max_l=1000), data=st.data())
+def test_flip_deltas_match_at_long_lengths(half, data):
+    check_drawn_scan(half, data)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 201, 401, 1001, 2001])
 def test_flip_deltas_at_fixed_lengths(n):
     rng = np.random.default_rng(n)
     l = n // 2
