@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -115,6 +116,8 @@ def _cmd_search(args) -> int:
         time_limit = _parse_duration(args.budget)
     elif os.environ.get("LABSKIT_TIME_LIMIT"):
         time_limit = _parse_duration(os.environ["LABSKIT_TIME_LIMIT"])
+    if time_limit == math.inf:
+        time_limit = None  # no deadline, and JSON has no Infinity
 
     config = SolverConfig(
         n=args.n,
@@ -136,7 +139,7 @@ def _cmd_search(args) -> int:
         "partition": list(config.partition),
         "ti": config.t_inner,
         "to": config.t_outer,
-        "ta": config.t_activate,
+        "ta": config.t_activate if math.isfinite(config.t_activate) else None,
         "seed": config.seed,
         "workers": config.workers,
         "policy": config.policy,

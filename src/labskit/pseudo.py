@@ -5,22 +5,23 @@ after dropping its first or its last element.  Every even-index entry
 of its reversed-order sidelobe array is +-1, so its energy decomposes
 into a fixed floor plus the odd-index contributions.
 
-Starting from a skew-symmetric B of odd length n with energy E and
-reversed-order sidelobes Chat, the four adjacent PSS candidates have
+Starting from a skew-symmetric B of odd length n = 2l+1 with energy E
+and correlations C_s by shift, the adjacent PSS candidates have
 closed-form energies:
 
-    append b (length n+1):   E + n + 2*b*delta,
-                             delta = sum_{u even, 0..n-2} Chat_u * b_{u+1}
-    drop last (length n-1):  E + n - 3 + 2*b_{n-1}*delta,
-                             delta = sum_{u even, 2..n-2} -Chat_u * b_u
+    append b (length n+1):   E + n + 2*b*a,
+                             a = sum_{s even, 2..n-1} C_s * b_{n-s}
+    drop first (length n-1): E + n - 3 + 2*b_0*d,
+                             d = -sum_{s even, 2..n-3} C_s * b_s
 
-Prepend and drop-first follow by applying the same formulas to the
-reversal of B (reversal preserves skew-symmetry, correlations and
-energy).  In shift indexing all four delta sums run over the even
-shifts s = 2..n-1 against C_s, so they come out of one product
-(`boundary_sums`) of a 4 x (n-1)/2 gather of elements with C_2, C_4, ...
-All formulas are exact integer identities, validated against direct
-recomputation in the tests.
+Prepending and dropping the last element are the same edits applied to
+the reversal of B.  The skew rule b_{n-1-j} = (-1)^(l-j) * b_j makes the
+reversal of B its alternating complement up to sign, so their sums are
+-(-1)^l * a (prepend b: E + n - 2*(-1)^l*b*a) and (-1)^l * d (drop last,
+weighted by b_{n-1} = (-1)^l * b_0).  Both drops therefore have the
+same energy E + n - 3 + 2*b_0*d, and two dot products (`boundary_sums`)
+serve all six probes.  All formulas are exact integer identities,
+validated against direct recomputation in the tests.
 
 Every probe is one of the paper's boundary edits eta: the four that
 `probe_energies` scores are n1 (append +1), n2 (append -1), n4 (strip
@@ -38,10 +39,8 @@ import numpy as np
 
 from .core import BinarySequence, sidelobes
 from .errors import DomainError
-from .skew import is_skew_symmetric
+from .skew import SkewSearchState, is_skew_symmetric
 from .symmetry import EtaOp, apply_eta
-
-DIRECTIONS = ("append-last", "prepend-first", "drop-last", "drop-first")
 
 #: The eta edit behind each `probe_energies` entry, in its order.
 PROBE_EDITS = (EtaOp(1), EtaOp(2), EtaOp(4), EtaOp(3))
@@ -74,59 +73,26 @@ def is_pseudo_skew_symmetric(seq: BinarySequence) -> bool:
     return any(is_skew_symmetric(apply_eta(EtaOp(i), seq)) for i in (4, 3))
 
 
-def _require_skew(seq: BinarySequence) -> None:
-    if not is_skew_symmetric(seq):
-        raise DomainError("probe formulas need a skew-symmetric input")
+def boundary_sums(c: np.ndarray, e: np.ndarray) -> tuple:
+    """(a, d): the delta sums of appending at the end and of dropping the
+    first element, from the correlations `c` by shift and the elements
+    `e` of a skew-symmetric sequence.  The module docstring derives the
+    other two sums and every energy from these."""
+    n = e.shape[0]
+    return int(c[2::2] @ e[n - 2 : 0 : -2]), -int(c[2 : n - 2 : 2] @ e[2 : n - 2 : 2])
 
 
-def _arrays(seq: BinarySequence):
-    """(correlations by shift, elements) for the closed-form deltas."""
-    e = seq.as_array().astype(np.int64)
-    n = seq.n
-    corr = np.correlate(e, e, mode="full")[n - 1 :]
-    return corr, e
-
-
-def probe_tables(n: int) -> tuple:
-    """(index, weight) arrays of shape (4, (n-1)/2) for `boundary_sums`.
-
-    Row r, column j holds the element index and sign that multiply
-    C_{2j+2} in the delta sum of direction DIRECTIONS[r].  In reversed
-    indexing Chat_u = C_{n-1-u}, so the append sums pair C_s with
-    b_{n-s} (last) or b_{s-1} (first, via reversal); the truncation sums
-    stop one shift short (s <= n-3) and carry a minus sign.
-    """
-    s = np.arange(2, n, 2)
-    index = np.stack([n - s, s - 1, n - 1 - s, s])
-    weight = np.ones_like(index)
-    weight[2:] = -1
-    weight[2:, -1:] = 0
-    return index, weight
-
-
-def boundary_sums(c: np.ndarray, e: np.ndarray, tables: tuple) -> list:
-    """Delta sums of the four boundary probes, in DIRECTIONS order.
-
-    `c` holds C_u by shift, `e` the elements of a skew-symmetric
-    sequence of length n, `tables` is `probe_tables(n)`.  The energies
-    follow by the closed forms in the module docstring.
-    """
-    index, weight = tables
-    return ((e[index] * weight) @ c[2::2]).tolist()
-
-
-def probe_energies(c: np.ndarray, e: np.ndarray, v: int, tables: tuple) -> tuple:
+def probe_energies(c: np.ndarray, e: np.ndarray, v: int) -> tuple:
     """Energies of the `probe_neighbors` candidates, in its order: append
     +1, append -1 (at the end), drop the last, drop the first element.
 
-    One `boundary_sums` product serves all four; `v` is the energy of
-    the skew-symmetric base.
+    One `boundary_sums` call serves all four; `v` is the energy of the
+    skew-symmetric base.  The two drops tie (module docstring).
     """
     n = e.shape[0]
-    append_last, _, drop_last, drop_first = boundary_sums(c, e, tables)
-    return (v + n + 2 * append_last, v + n - 2 * append_last,
-            v + n - 3 + 2 * int(e[n - 1]) * drop_last,
-            v + n - 3 + 2 * int(e[0]) * drop_first)
+    a, d = boundary_sums(c, e)
+    drop = v + n - 3 + 2 * int(e[0]) * d
+    return v + n + 2 * a, v + n - 2 * a, drop, drop
 
 
 def append_delta_arrays(c: np.ndarray, e: np.ndarray, n: int, v: int, sign: int,
@@ -137,7 +103,9 @@ def append_delta_arrays(c: np.ndarray, e: np.ndarray, n: int, v: int, sign: int,
     """
     if end not in ("last", "first"):
         raise DomainError(f"end must be 'last' or 'first', got {end!r}")
-    delta = boundary_sums(c, e, probe_tables(n))[0 if end == "last" else 1]
+    delta = boundary_sums(c, e)[0]
+    if end == "first":
+        delta *= -(-1) ** (n // 2)
     return delta, v + n + 2 * sign * delta
 
 
@@ -146,7 +114,9 @@ def truncate_delta_arrays(c: np.ndarray, e: np.ndarray, n: int, v: int,
     """(delta, energy) for dropping the element at `end`."""
     if end not in ("last", "first"):
         raise DomainError(f"end must be 'last' or 'first', got {end!r}")
-    delta = boundary_sums(c, e, probe_tables(n))[2 if end == "last" else 3]
+    delta = boundary_sums(c, e)[1]
+    if end == "last":
+        delta *= (-1) ** (n // 2)
     edge = int(e[n - 1] if end == "last" else e[0])
     return delta, v + n - 3 + 2 * edge * delta
 
@@ -155,10 +125,8 @@ def append_delta(seq: BinarySequence, sign: int, end: str = "last") -> PssProbe:
     """Probe the PSS sequence obtained by appending `sign` at `end`."""
     if sign not in (-1, 1):
         raise DomainError(f"appended element must be -1 or +1, got {sign!r}")
-    _require_skew(seq)
-    c, e = _arrays(seq)
-    v = int(np.sum(c[1:] ** 2))
-    delta, out = append_delta_arrays(c, e, seq.n, v, sign, end)
+    state = SkewSearchState.from_sequence(seq)
+    delta, out = append_delta_arrays(state.c, state.e, seq.n, state.energy, sign, end)
     direction = "append-last" if end == "last" else "prepend-first"
     return PssProbe(direction=direction, sign=sign, delta_sum=delta,
                     energy=out, length=seq.n + 1)
@@ -166,12 +134,10 @@ def append_delta(seq: BinarySequence, sign: int, end: str = "last") -> PssProbe:
 
 def truncate_delta(seq: BinarySequence, end: str = "last") -> PssProbe:
     """Probe the PSS sequence obtained by dropping the element at `end`."""
-    _require_skew(seq)
+    state = SkewSearchState.from_sequence(seq)
     if seq.n < 3:
         raise DomainError("truncation probe needs length >= 3")
-    c, e = _arrays(seq)
-    v = int(np.sum(c[1:] ** 2))
-    delta, out = truncate_delta_arrays(c, e, seq.n, v, end)
+    delta, out = truncate_delta_arrays(state.c, state.e, seq.n, state.energy, end)
     direction = "drop-last" if end == "last" else "drop-first"
     return PssProbe(direction=direction, sign=None, delta_sum=delta,
                     energy=out, length=seq.n - 1)

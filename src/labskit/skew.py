@@ -44,9 +44,14 @@ onto the negative lags, one per parity of q as the odd lags are zero;
 the sum in S_q is read off the self-convolution of the elements of q's
 parity at index 2q.  For q < l the mirror term
 at u = n-1-2q comes off both: S_q loses 1 + 2*b_{q-u}*b_p (b_{q-u} = 0
-below the sequence) and A_q loses b_p*C_u.  Every sum is an integer of
-magnitude at most a few n^2, far below 2^53, so the scan runs in
-float64 and is exact in any summation order.  Exactness is enforced
+below the sequence) and A_q loses b_p*C_u.
+
+The state is one float64 buffer: elements, correlations and every
+per-flip sum above are integers of magnitude at most a few n^2, far
+below 2^53, so float64 holds them exactly in any summation order.  A
+full energy sum can reach about n^3/3, above 2^53 for n near
+`core.MAX_LENGTH`, so the energies of a fresh state and of a recompute
+square and sum the correlations in int64.  Exactness is enforced
 against the one-row form and full recomputation in the test suite, and
 optionally at runtime via LABSKIT_DEBUG_VERIFY=1.
 """
@@ -65,8 +70,7 @@ from .core import BinarySequence, SidelobeArray
 from .errors import DomainError
 
 #: When set (env LABSKIT_DEBUG_VERIFY=1), every apply_flip re-derives the
-#: correlation array from scratch and asserts agreement, and checks the
-#: scan's float copy of the sequence.
+#: correlation array and the energy from scratch and asserts agreement.
 DEBUG_VERIFY = os.environ.get("LABSKIT_DEBUG_VERIFY", "") not in ("", "0")
 
 #: Packed values per block of exhaustive_best.
@@ -136,26 +140,24 @@ class SkewSearchState:
 
     Keeps the expanded elements `e`, the correlation array `c`
     (c[u] = C_u, c[0] = n; odd entries identically zero) and the exact
-    energy, all updated in O(n) per flip.  `e` is a view into a copy of
-    the sequence zero-padded by n-1 on both sides, and `c` is the right
-    half of the correlations at every lag -(n-1)..n-1.  The neighbour
-    scan reads those mirrored correlations and a float64 copy of the
-    padded sequence, which `apply_flip` keeps in step.
+    energy, all updated in O(n) per flip.  `e` is a view into the
+    sequence zero-padded by n-1 on both sides, and `c` is the right half
+    of the correlations at every lag -(n-1)..n-1, which the neighbour
+    scan reads mirrored.  Both buffers are float64 and hold exact
+    integers; the energy is a Python int (see the module docstring).
     """
 
-    __slots__ = ("n", "l", "e", "c", "energy", "half_bits", "_padded", "_padded_f",
-                 "_c_mirror")
+    __slots__ = ("n", "l", "e", "c", "energy", "half_bits", "_padded", "_c_mirror")
 
     def __init__(self, half: SkewHalf):
         self.l = half.l
         self.n = 2 * self.l + 1
-        self._padded = np.zeros(3 * self.n - 2, dtype=np.int64)
+        self._padded = np.zeros(3 * self.n - 2)
         self.e = self._padded[self.n - 1 : 2 * self.n - 1]
         self.e[:] = expand_rows(np.array(half.elements))
-        self._padded_f = self._padded.astype(np.float64)
         self._c_mirror = np.correlate(self.e, self.e, mode="full")
         self.c = self._c_mirror[self.n - 1 :]
-        self.energy = int(np.sum(self.c[1:] ** 2))
+        self.energy = _energy(self.c)
         self.half_bits = _pack_half(half.elements)
 
     @classmethod
@@ -168,7 +170,7 @@ class SkewSearchState:
         return SkewHalf(tuple(int(x) for x in self.e[: self.l + 1]))
 
     def sequence(self) -> BinarySequence:
-        return BinarySequence.from_elements(self.e.tolist())
+        return BinarySequence.from_elements(self.e.astype(np.int64).tolist())
 
     def sidelobes(self) -> SidelobeArray:
         return SidelobeArray(values=tuple(int(x) for x in self.c[:0:-1]), n=self.n)
@@ -208,7 +210,7 @@ class SkewSearchState:
             return np.zeros(qs.shape[0], dtype=np.int64)
         weights, constant, pos = _scan_tables(n)
         evens, odds = (l + 2) // 2, (l + 1) // 2  # even and odd q in 0..l
-        padded, c = self._padded_f, self._c_mirror
+        padded, c = self._padded, self._c_mirror
         e = padded[n - 1 : 2 * n - 1]
         e0, e1 = e[0::2], e[1::2]
         lags = c[0::2]  # C_|v| at the even lags v = -(n-1)..n-1, C_0 = n included
@@ -245,7 +247,6 @@ class SkewSearchState:
         self._c_mirror[n - 3 :: -2] -= t  # the same shifts on the negative lags
         for i in ((q,) if q == self.l else (q, n - 1 - q)):
             self.e[i] = -self.e[i]
-            self._padded_f[n - 1 + i] = -self._padded_f[n - 1 + i]
         self.half_bits ^= 1 << q
         if DEBUG_VERIFY:
             self._verify()
@@ -254,10 +255,14 @@ class SkewSearchState:
         corr = np.correlate(self.e, self.e, mode="full")
         if not np.array_equal(corr, self._c_mirror):
             raise AssertionError("incremental correlations diverged from recompute")
-        if self.energy != int(np.sum(corr[self.n :] ** 2)):
+        if self.energy != _energy(corr[self.n - 1 :]):
             raise AssertionError("incremental energy diverged from recompute")
-        if not np.array_equal(self._padded_f, self._padded):
-            raise AssertionError("float copy of the padded sequence diverged")
+
+
+def _energy(c: np.ndarray) -> int:
+    """Sum of C_u^2 over u >= 1 for correlations `c` by shift.  Squared and
+    summed in int64: the sum can pass 2^53, where float64 stops being exact."""
+    return int(np.sum(c[1:].astype(np.int64) ** 2))
 
 
 @functools.lru_cache(maxsize=16)

@@ -40,7 +40,7 @@ from .partitions import sample_member
 # append_delta_arrays and truncate_delta_arrays stay bound here because
 # perfbench/tracer.py looks them up in this module's namespace.
 from .pseudo import (PROBE_EDITS, append_delta_arrays, probe_energies,  # noqa: F401
-                     probe_tables, truncate_delta_arrays)
+                     truncate_delta_arrays)
 from .records import encode_hex
 from .skew import SkewSearchState
 from .symmetry import apply_eta
@@ -92,7 +92,6 @@ class SolverConfig:
     seed: int = 0
     time_limit: Optional[float] = None
     policy: str = POLICY_SELF_AVOIDING
-    leading: int = 1
 
     def validate(self) -> None:
         if self.n < 3 or self.n % 2 == 0:
@@ -118,8 +117,6 @@ class SolverConfig:
             raise DomainError(f"time limit must be positive, got {self.time_limit}")
         if self.policy not in POLICIES:
             raise DomainError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        if self.leading not in (-1, 1):
-            raise DomainError(f"leading sign must be -1 or +1, got {self.leading!r}")
 
     @property
     def order(self) -> int:
@@ -238,7 +235,6 @@ def _run_worker(config: SolverConfig, worker_id: int,
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=(config.seed & _M64, worker_id)))
     activate_energy = activation_energy_bound(n, config.t_activate)
-    tables = probe_tables(n)
     probe_edits = [(op, n + op.length_change) for op in PROBE_EDITS]
 
     best = BestTriple()
@@ -271,7 +267,7 @@ def _run_worker(config: SolverConfig, worker_id: int,
     def probe_adjacent(state: SkewSearchState) -> None:
         stats.probes += 4
         base = None
-        energies = probe_energies(state.c, state.e, state.energy, tables)
+        energies = probe_energies(state.c, state.e, state.energy)
         for (op, length), energy in zip(probe_edits, energies):
             if improves(length, energy):
                 if base is None:
@@ -284,7 +280,7 @@ def _run_worker(config: SolverConfig, worker_id: int,
             if deadline is not None and time.monotonic() >= deadline:
                 break
             stats.restarts += 1
-            half = sample_member(config.partition, n, rng, config.leading)
+            half = sample_member(config.partition, n, rng)
             state = SkewSearchState(half)
             visited = {hash_state(state)}
             w_i = 0
@@ -327,7 +323,6 @@ def _metadata(config: SolverConfig) -> dict:
         "seed": config.seed,
         "time_limit": config.time_limit,
         "policy": config.policy,
-        "leading": config.leading,
         "rng": "numpy PCG64, SeedSequence(entropy=(seed, worker_id))",
     }
 

@@ -12,10 +12,17 @@ from labskit.core import merit_factor
 from labskit.records import decode_hex
 
 
+def strict_json(line):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(line, parse_constant=refuse)
+
+
 def run_main(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
-    records = [json.loads(line) for line in out.splitlines() if line.strip()]
+    records = [strict_json(line) for line in out.splitlines() if line.strip()]
     return code, records
 
 
@@ -207,6 +214,23 @@ def test_search_nan_budget_is_domain_error(capsys, monkeypatch, flags, env):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert "nan" not in captured.out.lower()
+
+
+@pytest.mark.parametrize("flags, env", [
+    (["--ta", "inf", "--budget", "inf"], {}),
+    (["--ta", "inf"], {"LABSKIT_TIME_LIMIT": "inf"}),
+], ids=["flags", "env-time-limit"])
+def test_search_infinite_budget_and_threshold_print_null(capsys, monkeypatch, flags, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    code, recs = run_main(capsys, "search", "--n", "21", "--partition", "1,1,2,2",
+                          "--ti", "5", "--to", "1", *flags)
+    assert code == 0
+    header, summary = recs[0], recs[-1]
+    assert header["ta"] is None and header["time_limit"] is None
+    assert summary["probes"] == 0  # an infinite threshold never probes
+    finals = {r["target"]: r["mf"] for r in recs if r.get("kind") == "final"}
+    assert finals[20] is None and finals[22] is None and finals[21] > 0
 
 
 SEARCH_ARGS = ["search", "--n", "21", "--partition", "1,1,2,2", "--ti", "300",

@@ -187,14 +187,33 @@ def test_debug_verify_shadow_recompute(monkeypatch):
     assert st.energy == energy(st.sequence())
 
 
-def test_debug_verify_walk_checks_float_copy(monkeypatch):
+def test_debug_verify_walk_checks_correlations(monkeypatch):
     monkeypatch.setattr(skew, "DEBUG_VERIFY", True)
     config = SolverConfig(n=41, partition=(2, 1), t_inner=40, t_outer=2, seed=5)
     assert run(config).stats.flips > 40  # every flip re-derived and checked
     st = SkewSearchState(random_half(random.Random(26), 20))
-    st._padded_f[st.n - 1] *= -1  # as if apply_flip had missed the scan's copy
-    with pytest.raises(AssertionError, match="float copy"):
+    st._c_mirror[1] += 2  # a maintained correlation off by an update
+    with pytest.raises(AssertionError, match="correlations diverged"):
         st.apply_flip(3)
+
+
+def test_energy_past_float_precision_is_exact(monkeypatch):
+    """A full energy sum passes 2^53 near MAX_LENGTH; it must stay exact.
+    The correlations of such a length come from an FFT here, rounded to
+    the integers they are, as the direct correlation would take minutes."""
+    def fft_correlate(a, v, mode):
+        size = 1 << (len(a) + len(v)).bit_length()  # no wrap-around
+        lags = np.fft.irfft(np.fft.rfft(a, size) * np.conj(np.fft.rfft(v, size)), size)
+        return np.rint(np.concatenate((lags[size - len(v) + 1 :], lags[: len(a)])))
+
+    monkeypatch.setattr(np, "correlate", fft_correlate)
+    l = 499_999  # n = 999_999 <= MAX_LENGTH
+    # the alternating half makes the skew tail constant: C_u ~ n - 2u.  Sums
+    # of a multiple of 8 odd squares stay exact in float64 up to 2^56.
+    st = SkewSearchState(SkewHalf(tuple((-1) ** (l - j) for j in range(l + 1))))
+    assert st.energy > 2 ** 56
+    assert st.energy == sum(x * x for x in st.c[1:].astype(np.int64).tolist())
+    st._verify()  # the recompute sums exactly too
 
 
 def test_exhaustive_tiny_lengths():

@@ -32,7 +32,6 @@ def test_config_validation():
         dict(n=21, partition=(2,), time_limit=0.0),
         dict(n=21, partition=(2,), time_limit=math.nan),
         dict(n=21, partition=(2,), policy="greedy"),
-        dict(n=21, partition=(2,), leading=2),
     ]
     for kw in cases:
         with pytest.raises(DomainError):

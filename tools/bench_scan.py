@@ -8,6 +8,9 @@ Measures, single-threaded:
 * `SkewSearchState.flip_deltas` per call over the free range q = 12..l
   (the range of a (6,3,3) search), on a seeded random state, at
   n in SCAN_LENGTHS;
+* `SkewSearchState.apply_flip` (a flip at q = l // 2 and its undo, per
+  flip) and `pseudo.probe_energies` per call on the same states, at n in
+  LAYER_LENGTHS;
 * `solver.run` flips/s with partition (6,3,3), seed 1 and a fixed flip
   budget per length, at n in RUN_LENGTHS, with the sha256 of the event
   stream, so that two trees can be checked for byte-identical output.
@@ -37,33 +40,63 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 
 SCAN_LENGTHS = (101, 201, 401, 1001, 2001)
+LAYER_LENGTHS = (101, 1001)
 #: n -> (t_inner, t_outer): (t_inner + 1) * (t_outer + 1) flips at most
 RUN_BUDGETS = {101: (2000, 4), 201: (1000, 4), 401: (500, 2), 1001: (200, 1)}
 PARTITION = (6, 3, 3)
 SEED = 1
 REPEATS = 5
-#: seconds one scan repeat should take, roughly
+#: seconds one timed repeat should take, roughly
 SCAN_REPEAT_S = 0.2
 
 
-def time_scan(n: int) -> dict:
-    import numpy as np
-    from labskit.skew import SkewHalf, SkewSearchState
-
-    rng = np.random.default_rng(n)
-    state = SkewSearchState(SkewHalf(tuple(int(x) for x in rng.choice((-1, 1), n // 2 + 1))))
-    free = np.arange(sum(PARTITION), state.l + 1)
+def per_call_us(fn, per: int = 1) -> dict:
+    """Median over REPEATS repeats of the time of one `fn()` call, divided
+    by `per`, with the calls per repeat set so a repeat takes SCAN_REPEAT_S."""
     t0 = time.perf_counter()
-    state.flip_deltas(free)
+    fn()
     calls = max(1, int(SCAN_REPEAT_S / max(time.perf_counter() - t0, 1e-6)))
     per_call = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
         for _ in range(calls):
-            state.flip_deltas(free)
-        per_call.append((time.perf_counter() - t0) / calls)
-    return {"n": n, "median_us": statistics.median(per_call) * 1e6,
+            fn()
+        per_call.append((time.perf_counter() - t0) / calls / per)
+    return {"median_us": statistics.median(per_call) * 1e6,
             "repeats_us": [t * 1e6 for t in per_call], "calls_per_repeat": calls}
+
+
+def seeded_state(n: int):
+    import numpy as np
+    from labskit.skew import SkewHalf, SkewSearchState
+
+    rng = np.random.default_rng(n)
+    return SkewSearchState(SkewHalf(tuple(int(x) for x in rng.choice((-1, 1), n // 2 + 1))))
+
+
+def time_scan(n: int) -> dict:
+    import numpy as np
+
+    state = seeded_state(n)
+    free = np.arange(sum(PARTITION), state.l + 1)
+    return {"n": n, **per_call_us(lambda: state.flip_deltas(free))}
+
+
+def time_layers(n: int) -> dict:
+    from labskit import pseudo
+
+    state = seeded_state(n)
+    q = state.l // 2
+
+    def flip_and_undo():
+        state.apply_flip(q)
+        state.apply_flip(q)
+
+    args = (state.c, state.e, state.energy)
+    if hasattr(pseudo, "probe_tables"):  # trees before the two-sum probe
+        args += (pseudo.probe_tables(n),)
+    return {"n": n, "apply_flip": per_call_us(flip_and_undo, per=2),
+            "probe_energies": per_call_us(lambda: pseudo.probe_energies(*args))}
 
 
 def time_run(n: int) -> dict:
@@ -108,6 +141,7 @@ def main(argv=None) -> int:
         "seed": SEED,
         "repeats": REPEATS,
         "scan": [time_scan(n) for n in SCAN_LENGTHS],
+        "layers": [time_layers(n) for n in LAYER_LENGTHS],
         "run": [time_run(n) for n in RUN_BUDGETS],
     }
     out = Path(args.out)
@@ -116,6 +150,9 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(data, indent=1) + "\n")
     for row in entry["scan"]:
         print(f"scan n={row['n']}: {row['median_us']:.1f} us/call")
+    for row in entry["layers"]:
+        print(f"apply_flip n={row['n']}: {row['apply_flip']['median_us']:.1f} us/call, "
+              f"probe_energies: {row['probe_energies']['median_us']:.1f} us/call")
     for row in entry["run"]:
         print(f"run n={row['n']}: {row['median_flips_per_s']:.0f} flips/s "
               f"({row['flips']} flips, events {row['events_sha256'][:12]})")
