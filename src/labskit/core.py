@@ -13,6 +13,10 @@ is exact integer arithmetic; merit factors are `fractions.Fraction`.
 Binary sequences are stored bit-packed (bit=1 for +1), with correlation
 computed through word-level XOR + popcount.  A scalar reference path for
 oracle tests lives in `labskit.reference`.
+
+`lag_products` is the one per-lag kernel of the exact block tools
+(exhaustive search, partition potentials); in its position-major
+(length, B) blocks numpy vectorises each lag across the B sequences.
 """
 
 from __future__ import annotations
@@ -213,6 +217,17 @@ def _require_metric_length(seq: Sequence) -> int:
     if n < 2:
         raise DomainError(f"metric operations need length >= 2, got {n}")
     return n
+
+
+def lag_products(x: np.ndarray, y: np.ndarray, lags: Iterable[int],
+                 out: np.ndarray) -> np.ndarray:
+    """out[i] = sum_j x[j] * y[j + lags[i]] per column of equal-shape
+    position-major blocks, exact in out's integer dtype; a negative lag
+    shifts x instead, and x = y gives each column's C_u.  Returns out."""
+    for i, m in enumerate(lags):
+        lo, hi = max(0, -m), len(x) - max(0, m)
+        np.einsum("ij,ij->j", x[lo:hi], y[lo + m : hi + m], out=out[i])
+    return out
 
 
 def _packed_correlation(bits: int, n: int, u: int) -> int:

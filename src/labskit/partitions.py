@@ -18,9 +18,10 @@ body, so potentials are length-invariant from n* on.  The normalized
 potential halves the tail entries before squaring, weighting the
 immutable head more heavily.
 
-Potentials are scored in exact int64 blocks (`_block_potentials`), one
-row per partition.  Every entry between the first k and the last k is
-zero, so only two groups of lags can be nonzero: lags u < k, where the
+Potentials are scored in exact integer blocks (`_block_potentials`),
+one position-major column per partition.  Every entry between the
+first k and the last k is zero, so only two groups of lags can be
+nonzero, each one `core.lag_products` call: lags u < k, where the
 prefix meets itself and the suffix meets itself, and lags n-k+m with
 |m| < k, where the prefix meets the suffix.  By the skew rule the
 suffix's self-correlation at lag u is (-1)^u times the prefix's, so
@@ -30,10 +31,10 @@ suffix terms are needed only where n-k+m is even.  Each of those sums
 k-|m| products with k-|m| odd, so it is odd: below n = 3k, where the
 two groups overlap, some tail entry is odd and the length is refused.
 The groups are added (+=) into one array of the even lags all the
-same, so the kernel is exact at every odd n >= 2k+1.  `potential` scores a one-row
-block; `scan_potentials` and `best_partition` stream `POTENTIAL_BLOCK`
-partitions at a time from `enumerate_partitions`, so memory stays
-bounded by one block however many partitions a scan has.
+same, so the kernel is exact at every odd n >= 2k+1.  `potential`
+scores a block of one; `scan_potentials` and `best_partition` stream
+`POTENTIAL_BLOCK` partitions at a time from `enumerate_partitions`, so
+memory stays bounded by one block however many partitions a scan has.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import TernarySequence
+from .core import TernarySequence, lag_products
 from .errors import DomainError
 from .skew import SkewHalf, expand_rows
 
@@ -194,16 +195,10 @@ def _block_potentials(rows: np.ndarray, k: int, n: int) -> Tuple[np.ndarray, np.
     s = np.ascontiguousarray(a[:, n - k :].T, dtype=np.int32)
     c = np.zeros((n // 2 + 1, len(a)), dtype=np.int32)  # c[i] = C_{2i}; odd lags are 0
     head = c[1 : (k + 1) // 2]  # prefix and suffix self-correlations, lags 2 .. k-1
-    for i, u in enumerate(range(2, k, 2)):
-        np.einsum("ij,ij->j", p[: k - u], p[u:], out=head[i])
+    lag_products(p, p, range(2, k, 2), head)
     head *= 2
     cross = np.empty((k, len(a)), dtype=np.int32)  # prefix-suffix terms, even lags n-k+m
-    for i, m in enumerate(range(1 - k, k, 2)):
-        if m >= 0:
-            np.einsum("ij,ij->j", p[: k - m], s[m:], out=cross[i])
-        else:
-            np.einsum("ij,ij->j", p[-m:], s[: k + m], out=cross[i])
-    c[(n - 2 * k + 1) // 2 :] += cross  # overlaps the head below n = 3k
+    c[(n - 2 * k + 1) // 2 :] += lag_products(p, s, range(1 - k, k, 2), cross)
     total = np.einsum("ij,ij->j", c, c, dtype=np.int64)
     tail = c[1 : k // 2 + 1]  # C_2, C_4 .. of C_1 .. C_k, the last k reversed-index entries
     odd = np.flatnonzero(np.bitwise_or.reduce(tail, axis=0) & 1)

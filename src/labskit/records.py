@@ -143,6 +143,8 @@ def load_dataset(path: Optional[str] = None) -> List[RecordEntry]:
 
 def verify_entry(entry: RecordEntry, tolerance: float = DEFAULT_TOLERANCE) -> VerificationReport:
     """Decode one record, recompute its MF exactly, compare to the claim."""
+    if not tolerance >= 0:  # NaN fails every comparison, so it is refused too
+        raise DomainError(f"tolerance must be a number >= 0, got {tolerance!r}")
     try:
         seq = decode_hex(entry.hex, entry.n)
     except (ParseError, DomainError) as exc:

@@ -54,6 +54,10 @@ full energy sum can reach about n^3/3, above 2^53 for n near
 square and sum the correlations in int64.  Exactness is enforced
 against the one-row form and full recomputation in the test suite, and
 optionally at runtime via LABSKIT_DEBUG_VERIFY=1.
+
+`exhaustive_best` scores blocks of `EXHAUSTIVE_BLOCK` packed values as
+position-major (n, B) int32 columns (skew halves expanded along the
+position axis) by one `core.lag_products` call over the lags 1..n-1.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import BinarySequence, SidelobeArray
+from .core import BinarySequence, SidelobeArray, lag_products
 from .errors import DomainError
 
 #: When set (env LABSKIT_DEBUG_VERIFY=1), every apply_flip re-derives the
@@ -126,15 +130,6 @@ def is_skew_symmetric(seq: BinarySequence) -> bool:
     return bool(np.array_equal(expand_rows(e[: seq.n // 2 + 1]), e))
 
 
-def _pack_half(elements) -> int:
-    """Half packed little-endian: bit q set iff element q is +1."""
-    bits = 0
-    for q, e in enumerate(elements):
-        if e == 1:
-            bits |= 1 << q
-    return bits
-
-
 class SkewSearchState:
     """Mutable, single-owner state for local search over skew halves.
 
@@ -158,7 +153,8 @@ class SkewSearchState:
         self._c_mirror = np.correlate(self.e, self.e, mode="full")
         self.c = self._c_mirror[self.n - 1 :]
         self.energy = _energy(self.c)
-        self.half_bits = _pack_half(half.elements)
+        # the half packed little-endian: bit q set iff element q is +1
+        self.half_bits = int("".join(["1" if e == 1 else "0" for e in half.elements[::-1]]), 2)
 
     @classmethod
     def from_sequence(cls, seq: BinarySequence) -> "SkewSearchState":
@@ -298,21 +294,11 @@ def _scan_tables(n: int) -> tuple:
 
 
 def _bits_to_pm1(values: np.ndarray, width: int) -> np.ndarray:
-    """(B,) uint -> (B, width) +-1 int8, bit width-1 first (MSB = element 0)."""
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    bits = (values[:, None] >> shifts[None, :]) & 1
-    return (2 * bits - 1).astype(np.int8)
-
-
-def _block_energies(e: np.ndarray) -> np.ndarray:
-    """Exact energies for a (B, n) +-1 block."""
-    b, n = e.shape
-    work = e.astype(np.int64)
-    out = np.zeros(b, dtype=np.int64)
-    for u in range(1, n):
-        c = np.einsum("ij,ij->i", work[:, : n - u], work[:, u:])
-        out += c * c
-    return out
+    """(B,) int32 -> (width, B) +-1 int32 columns, bit width-1 first (MSB = element 0)."""
+    x = (values >> np.arange(width - 1, -1, -1, dtype=np.int32)[:, None]) & 1
+    x *= 2  # in place: these (width, B) arrays set the peak memory of a block
+    x -= 1
+    return x
 
 
 def exhaustive_best(n: int, skew_only: bool = False) -> Tuple[Fraction, BinarySequence]:
@@ -341,13 +327,15 @@ def exhaustive_best(n: int, skew_only: bool = False) -> Tuple[Fraction, BinarySe
     best_seq: Optional[BinarySequence] = None
     end = 1 << width
     for start in range(top, end, EXHAUSTIVE_BLOCK):
-        rows = _bits_to_pm1(np.arange(start, min(start + EXHAUSTIVE_BLOCK, end),
-                                      dtype=np.uint64), width)
+        # int32 is exact: values < 2^24, |C_u| < n <= 31 and E < n^3/3 < 2^31
+        x = _bits_to_pm1(np.arange(start, min(start + EXHAUSTIVE_BLOCK, end),
+                                   dtype=np.int32), width)
         if skew_only:
-            rows = expand_rows(rows)
-        energies = _block_energies(rows)
+            x = np.ascontiguousarray(expand_rows(x.T).T)
+        c = lag_products(x, x, range(1, n), np.empty((n - 1, x.shape[1]), dtype=np.int32))
+        energies = np.einsum("ij,ij->j", c, c)
         idx = int(np.argmin(energies))
         if best_e is None or energies[idx] < best_e:
             best_e = int(energies[idx])
-            best_seq = BinarySequence.from_elements(rows[idx].tolist())
+            best_seq = BinarySequence.from_elements(x[:, idx].tolist())
     return Fraction(n * n, 2 * best_e), best_seq

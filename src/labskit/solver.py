@@ -33,7 +33,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BinarySequence
+from .core import BinarySequence, _check_length
 from .errors import DomainError
 from .partitions import sample_member
 # The walk takes all four probe energies from one probe_energies call.
@@ -96,6 +96,7 @@ class SolverConfig:
     def validate(self) -> None:
         if self.n < 3 or self.n % 2 == 0:
             raise DomainError(f"search length must be odd and >= 3, got {self.n}")
+        _check_length(self.n)
         parts = tuple(int(t) for t in self.partition)
         if not parts or any(t < 1 for t in parts):
             raise DomainError(f"partition parts must be >= 1, got {parts}")
@@ -274,7 +275,6 @@ def _run_worker(config: SolverConfig, worker_id: int,
                     base = state.sequence()
                 record(length, energy, apply_eta(op, base))
 
-    w_o = 0
     try:
         while True:
             if deadline is not None and time.monotonic() >= deadline:
@@ -302,8 +302,7 @@ def _run_worker(config: SolverConfig, worker_id: int,
                     break
             # every restart counts toward the outer budget; the visited
             # set and inner counter reset on the next pass
-            w_o += 1
-            if w_o > config.t_outer:
+            if stats.restarts > config.t_outer:
                 break
     except KeyboardInterrupt:
         stats.interrupted = True

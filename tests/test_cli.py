@@ -110,6 +110,16 @@ def test_verify_non_integer_rows_is_parse_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1"])
+def test_verify_bad_tolerance_is_domain_error(capsys, tolerance):
+    code = main(["verify", "--rows", "573", "--tolerance", tolerance])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""  # no summary record
+
+
 _HEADER = "n|class|hex|old_mf|new_mf|source_table\n"
 
 
@@ -274,6 +284,18 @@ def test_search_interrupt_flushes_and_exits_130():
     assert len(finals) == 3  # partial best triple flushed
     summary = [r for r in records if r.get("kind") == "summary"]
     assert summary and summary[0]["interrupted"]
+
+
+def test_search_length_above_cap_is_refused_at_once():
+    """The cap is checked before the first state's O(n^2) correlation,
+    which at this length would run far past the budget."""
+    out = subprocess.run([sys.executable, "-m", "labskit.cli", "search", "--n", "2000001",
+                          "--partition", "1", "--budget", "0.1s"],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 3
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert "exceeds hard cap" in out.stderr
+    assert out.stdout == ""
 
 
 def test_env_overrides_workers():

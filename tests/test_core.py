@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
 from labskit.core import (BinarySequence, SidelobeArray, TernarySequence,
-                          autocorrelation, energy, merit_factor,
+                          autocorrelation, energy, lag_products, merit_factor,
                           merit_factor_pair, sidelobes)
 from labskit.errors import DomainError, ParseError
 from labskit.reference import ref_autocorrelation, ref_energy, ref_sidelobes
@@ -154,3 +155,23 @@ def test_sequence_semantics():
 def test_sidelobe_array_shape_checked():
     with pytest.raises(DomainError):
         SidelobeArray(values=(1, 2), n=4)
+
+
+def test_lag_products_matches_loop():
+    """Every lag of -(k-1)..k-1, positive ones shifting y and negative
+    ones x, against a per-column loop; with x = y the rows are C_u."""
+    rnd = np.random.default_rng(7)
+    for k in (1, 2, 5, 12):
+        x = rnd.integers(-1, 2, size=(k, 9)).astype(np.int32)
+        y = rnd.integers(-1, 2, size=(k, 9)).astype(np.int32)
+        lags = range(1 - k, k)
+        out = np.full((2 * k - 1, 9), 99, dtype=np.int32)
+        assert lag_products(x, y, lags, out) is out
+        for i, m in enumerate(lags):
+            for b in range(9):
+                want = sum(int(x[j, b]) * int(y[j + m, b]) for j in range(k) if 0 <= j + m < k)
+                assert out[i, b] == want, (k, m, b)
+        c = lag_products(x, x, range(1, k), np.empty((k - 1, 9), dtype=np.int32))
+        for b in range(9):
+            seq = TernarySequence(x[:, b].tolist())
+            assert c[:, b].tolist() == [autocorrelation(seq, u) for u in range(1, k)]

@@ -149,3 +149,14 @@ def test_non_positive_claim_is_a_failed_match(claim):
     assert "positive finite number" in report.detail
     _, summary = verify_all([entry])
     assert summary["matched"] == 0 and summary["failed"][0][2] == report.detail
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, -1.0], ids=["nan", "negative"])
+def test_bad_tolerance_is_domain_error(tolerance):
+    entry = RecordEntry(n=13, class_expr="B_13", hex="1f35", old_mf=None,
+                        new_mf=169 / 12, source_table="I")
+    with pytest.raises(DomainError, match="tolerance"):
+        verify_entry(entry, tolerance)
+    with pytest.raises(DomainError, match="tolerance"):
+        verify_all([entry], tolerance)
+    assert verify_entry(entry, 0.0).match  # 0 is a valid tolerance

@@ -255,3 +255,15 @@ def test_exhaustive_caps():
         exhaustive_best(12, skew_only=True)  # even length
     with pytest.raises(DomainError):
         exhaustive_best(1)
+
+
+def test_half_bits_is_little_endian_packing():
+    """`half_bits` feeds the visited keys, so its value is pinned: bit q
+    set iff half element q is +1, fresh and after flips."""
+    rnd = random.Random(23)
+    for l in range(0, 301):
+        st = SkewSearchState(random_half(rnd, l))
+        for _ in range(3):
+            elements = st.half().elements
+            assert st.half_bits == sum(1 << q for q, e in enumerate(elements) if e == 1), l
+            st.apply_flip(rnd.randrange(l + 1))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from labskit.core import energy, merit_factor
+from labskit.core import MAX_LENGTH, energy, merit_factor
 from labskit.errors import DomainError
 from labskit.partitions import project_partition, sample_member
 from labskit.records import decode_hex
@@ -32,6 +32,7 @@ def test_config_validation():
         dict(n=21, partition=(2,), time_limit=0.0),
         dict(n=21, partition=(2,), time_limit=math.nan),
         dict(n=21, partition=(2,), policy="greedy"),
+        dict(n=MAX_LENGTH + 1, partition=(1,)),  # odd, above the length cap
     ]
     for kw in cases:
         with pytest.raises(DomainError):

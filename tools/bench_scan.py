@@ -1,4 +1,5 @@
-"""Time the walk's neighbour scan and the search throughput of a source tree.
+"""Time the walk's neighbour scan, the search throughput and the exact
+tools of a source tree.
 
     python3 tools/bench_scan.py --label change
     python3 tools/bench_scan.py --src ../other-checkout/src --label parent
@@ -13,7 +14,13 @@ Measures, single-threaded:
   LAYER_LENGTHS;
 * `solver.run` flips/s with partition (6,3,3), seed 1 and a fixed flip
   budget per length, at n in RUN_LENGTHS, with the sha256 of the event
-  stream, so that two trees can be checked for byte-identical output.
+  stream, so that two trees can be checked for byte-identical output;
+* the exact tools per call: `exhaustive_best` at the EXHAUSTIVE_CALLS
+  (all sequences of length 22, the skew-symmetric ones of length 31)
+  and `best_partition` at PARTITION_SCAN = (68, 7) for both objectives,
+  each with its answer (the merit factor as a reduced [num, den] and the
+  witness hex, or the best partition), so that two trees can be checked
+  for equal answers.
 
 Each number is the median of REPEATS repeats.  The result is stored under
 `--label` in the JSON file `--out` (default BENCH_scan.json at the root
@@ -45,6 +52,9 @@ LAYER_LENGTHS = (101, 1001)
 RUN_BUDGETS = {101: (2000, 4), 201: (1000, 4), 401: (500, 2), 1001: (200, 1)}
 PARTITION = (6, 3, 3)
 SEED = 1
+#: (n, skew_only) and (k, parts) of the timed exact-tool calls
+EXHAUSTIVE_CALLS = ((22, False), (31, True))
+PARTITION_SCAN = (68, 7)
 REPEATS = 5
 #: seconds one timed repeat should take, roughly
 SCAN_REPEAT_S = 0.2
@@ -124,6 +134,25 @@ def time_run(n: int) -> dict:
             "events_sha256": digests.pop()}
 
 
+def time_exact() -> list:
+    from labskit.partitions import best_partition
+    from labskit.skew import exhaustive_best
+
+    rows = []
+    for n, skew_only in EXHAUSTIVE_CALLS:
+        mf, witness = exhaustive_best(n, skew_only=skew_only)
+        rows.append({"call": f"exhaustive_best({n}, skew_only={skew_only})",
+                     "mf": [mf.numerator, mf.denominator], "witness": f"{witness.bits:x}",
+                     **per_call_us(lambda: exhaustive_best(n, skew_only=skew_only))})
+    k, parts = PARTITION_SCAN
+    for objective in ("U", "Ustar"):
+        report = best_partition(k, parts, objective)
+        rows.append({"call": f"best_partition({k}, {parts}, {objective!r})",
+                     "partition": list(report.partition),
+                     **per_call_us(lambda: best_partition(k, parts, objective))})
+    return rows
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"), help="labskit source tree to time")
@@ -143,6 +172,7 @@ def main(argv=None) -> int:
         "scan": [time_scan(n) for n in SCAN_LENGTHS],
         "layers": [time_layers(n) for n in LAYER_LENGTHS],
         "run": [time_run(n) for n in RUN_BUDGETS],
+        "exact": time_exact(),
     }
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
@@ -156,6 +186,9 @@ def main(argv=None) -> int:
     for row in entry["run"]:
         print(f"run n={row['n']}: {row['median_flips_per_s']:.0f} flips/s "
               f"({row['flips']} flips, events {row['events_sha256'][:12]})")
+    for row in entry["exact"]:
+        answer = row.get("partition") or (row["mf"], row["witness"])
+        print(f"{row['call']}: {row['median_us'] / 1000:.1f} ms/call, {answer}")
     return 0
 
 
