@@ -278,10 +278,7 @@ def merit_factor(seq: BinarySequence) -> Fraction:
     (the outermost sidelobe is a single +-1 product), so this never
     divides by zero.
     """
-    if not isinstance(seq, BinarySequence):
-        raise DomainError("merit factor is defined for binary sequences")
-    n = _require_metric_length(seq)
-    return Fraction(n * n, 2 * energy(seq))
+    return Fraction(*merit_factor_pair(seq))
 
 
 def merit_factor_pair(seq: BinarySequence) -> tuple:

@@ -23,11 +23,12 @@ same energy E + n - 3 + 2*b_0*d, and two dot products (`boundary_sums`)
 serve all six probes.  All formulas are exact integer identities,
 validated against direct recomputation in the tests.
 
-Every probe is one of the paper's boundary edits eta: the four that
-`probe_energies` scores are n1 (append +1), n2 (append -1), n4 (strip
-the last element) and n3 (strip the first), and prepending is n5/n6.
-The candidate sequences themselves are built only by
-`labskit.symmetry.apply_eta` (`PROBE_EDITS`, `materialize`).
+Every probe is one of the paper's boundary edits eta, and a `PssProbe`
+names its edit by its `EtaOp`.  `probe_energies` scores n1..n6 in one
+table indexed by eta index; the walk reads n1 (append +1), n2 (append
+-1), n4 (strip the last element) and n3 (strip the first) from it
+(`PROBE_EDITS`).  The candidate sequences themselves are built only by
+`labskit.symmetry.apply_eta`.
 """
 
 from __future__ import annotations
@@ -42,20 +43,19 @@ from .errors import DomainError
 from .skew import SkewSearchState, is_skew_symmetric
 from .symmetry import EtaOp, apply_eta
 
-#: The eta edit behind each `probe_energies` entry, in its order.
+#: The eta edits the walk probes, in `probe_neighbors` order.
 PROBE_EDITS = (EtaOp(1), EtaOp(2), EtaOp(4), EtaOp(3))
 
-#: (direction, sign) of a `PssProbe` -> eta index of the edit it scores.
-_PROBE_ETA = {("append-last", 1): 1, ("append-last", -1): 2, ("prepend-first", 1): 5,
-              ("prepend-first", -1): 6, ("drop-last", None): 4, ("drop-first", None): 3}
+#: end -> eta index of appending +1 or -1 (by sign) or dropping (None) there
+_END_ETA = {"last": {1: 1, -1: 2, None: 4}, "first": {1: 5, -1: 6, None: 3}}
 
 
 @dataclass(frozen=True)
 class PssProbe:
-    """Energy/MF of one PSS sequence adjacent to a skew-symmetric base."""
+    """Energy/MF of the PSS sequence that the boundary edit `op` makes
+    from a skew-symmetric base."""
 
-    direction: str
-    sign: int | None
+    op: EtaOp
     delta_sum: int
     energy: int
     length: int
@@ -79,84 +79,76 @@ def boundary_sums(c: np.ndarray, e: np.ndarray) -> tuple:
     `e` of a skew-symmetric sequence.  The module docstring derives the
     other two sums and every energy from these."""
     n = e.shape[0]
-    return int(c[2::2] @ e[n - 2 : 0 : -2]), -int(c[2 : n - 2 : 2] @ e[2 : n - 2 : 2])
+    return int(c[2::2].dot(e[n - 2 : 0 : -2])), -int(c[2 : n - 2 : 2].dot(e[2 : n - 2 : 2]))
 
 
 def probe_energies(c: np.ndarray, e: np.ndarray, v: int) -> tuple:
-    """Energies of the `probe_neighbors` candidates, in its order: append
-    +1, append -1 (at the end), drop the last, drop the first element.
+    """(delta sums, energies) of the boundary edits of a skew-symmetric
+    base: two tuples indexed by eta index 1..6 (entry 0, strip-both, is
+    None).
 
-    One `boundary_sums` call serves all four; `v` is the energy of the
-    skew-symmetric base.  The two drops tie (module docstring).
+    `c` holds C_u by shift, `e` the elements and `v` the energy of the
+    base.  One `boundary_sums` call serves all six; the prepend and
+    drop-last entries follow from the skew rule (module docstring).
     """
     n = e.shape[0]
     a, d = boundary_sums(c, e)
-    drop = v + n - 3 + 2 * int(e[0]) * d
-    return v + n + 2 * a, v + n - 2 * a, drop, drop
+    s = (-1) ** (n // 2)  # b_{n-1} = s * b_0
+    w = v + n
+    drop = w - 3 + 2 * int(e[0]) * d
+    p = -s * a
+    return ((None, a, a, d, s * d, p, p),
+            (None, w + 2 * a, w - 2 * a, drop, drop, w + 2 * p, w - 2 * p))
+
+
+def _eta_index(end: str, sign: int | None = None) -> int:
+    """Eta index of appending `sign` at `end`, or of dropping (None) there."""
+    if end not in _END_ETA:
+        raise DomainError(f"end must be 'last' or 'first', got {end!r}")
+    return _END_ETA[end][sign]
 
 
 def append_delta_arrays(c: np.ndarray, e: np.ndarray, n: int, v: int, sign: int,
                         end: str = "last") -> tuple:
-    """(delta, energy) for appending `sign` at `end`, from raw state arrays.
-
-    `c` holds C_u by shift, `e` the elements, `v` the current energy.
-    """
-    if end not in ("last", "first"):
-        raise DomainError(f"end must be 'last' or 'first', got {end!r}")
-    delta = boundary_sums(c, e)[0]
-    if end == "first":
-        delta *= -(-1) ** (n // 2)
-    return delta, v + n + 2 * sign * delta
+    """(delta, energy) for appending `sign` at `end`, from raw state arrays."""
+    return tuple(col[_eta_index(end, sign)] for col in probe_energies(c, e, v))
 
 
 def truncate_delta_arrays(c: np.ndarray, e: np.ndarray, n: int, v: int,
                           end: str = "last") -> tuple:
     """(delta, energy) for dropping the element at `end`."""
-    if end not in ("last", "first"):
-        raise DomainError(f"end must be 'last' or 'first', got {end!r}")
-    delta = boundary_sums(c, e)[1]
-    if end == "last":
-        delta *= (-1) ** (n // 2)
-    edge = int(e[n - 1] if end == "last" else e[0])
-    return delta, v + n - 3 + 2 * edge * delta
+    return tuple(col[_eta_index(end)] for col in probe_energies(c, e, v))
+
+
+def _probes(seq: BinarySequence, ops) -> list:
+    """One `PssProbe` per eta edit in `ops` of the skew-symmetric `seq`."""
+    state = SkewSearchState.from_sequence(seq)
+    deltas, energies = probe_energies(state.c, state.e, state.energy)
+    return [PssProbe(op, deltas[op.index], energies[op.index], op.result_length(seq.n))
+            for op in ops]
 
 
 def append_delta(seq: BinarySequence, sign: int, end: str = "last") -> PssProbe:
     """Probe the PSS sequence obtained by appending `sign` at `end`."""
     if sign not in (-1, 1):
         raise DomainError(f"appended element must be -1 or +1, got {sign!r}")
-    state = SkewSearchState.from_sequence(seq)
-    delta, out = append_delta_arrays(state.c, state.e, seq.n, state.energy, sign, end)
-    direction = "append-last" if end == "last" else "prepend-first"
-    return PssProbe(direction=direction, sign=sign, delta_sum=delta,
-                    energy=out, length=seq.n + 1)
+    return _probes(seq, [EtaOp(_eta_index(end, sign))])[0]
 
 
 def truncate_delta(seq: BinarySequence, end: str = "last") -> PssProbe:
     """Probe the PSS sequence obtained by dropping the element at `end`."""
-    state = SkewSearchState.from_sequence(seq)
-    if seq.n < 3:
-        raise DomainError("truncation probe needs length >= 3")
-    delta, out = truncate_delta_arrays(state.c, state.e, seq.n, state.energy, end)
-    direction = "drop-last" if end == "last" else "drop-first"
-    return PssProbe(direction=direction, sign=None, delta_sum=delta,
-                    energy=out, length=seq.n - 1)
+    return _probes(seq, [EtaOp(_eta_index(end))])[0]
 
 
 def probe_neighbors(seq: BinarySequence) -> list:
-    """All four boundary probes: append both signs, drop both ends."""
-    probes = [append_delta(seq, s) for s in (1, -1)]
-    probes += [truncate_delta(seq, end) for end in ("last", "first")]
-    return probes
+    """The walk's four boundary probes (`PROBE_EDITS`): append both signs,
+    drop both ends."""
+    return _probes(seq, PROBE_EDITS)
 
 
 def materialize(seq: BinarySequence, probe: PssProbe) -> BinarySequence:
     """Construct the PSS sequence a probe refers to."""
-    index = _PROBE_ETA.get((probe.direction, probe.sign))
-    if index is None:
-        raise DomainError(
-            f"unknown probe direction {probe.direction!r} with sign {probe.sign!r}")
-    return apply_eta(EtaOp(index), seq)
+    return apply_eta(probe.op, seq)
 
 
 def pss_sidelobe_check(seq: BinarySequence) -> bool:

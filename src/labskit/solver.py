@@ -268,8 +268,9 @@ def _run_worker(config: SolverConfig, worker_id: int,
     def probe_adjacent(state: SkewSearchState) -> None:
         stats.probes += 4
         base = None
-        energies = probe_energies(state.c, state.e, state.energy)
-        for (op, length), energy in zip(probe_edits, energies):
+        energies = probe_energies(state.c, state.e, state.energy)[1]
+        for op, length in probe_edits:
+            energy = energies[op.index]
             if improves(length, energy):
                 if base is None:
                     base = state.sequence()

@@ -10,7 +10,8 @@ Two operator families:
   per symmetry class.
 
 * eta operators -- the seven structural edits used in the record tables
-  (strip both ends, append/prepend +-1, strip one end).
+  (strip both ends, append/prepend +-1, strip one end), each defined by
+  one row of `ETA_TABLE` and nowhere else.
 
 A tiny parser turns ASCII class expressions like ``"Omega_173 . n4"``
 into structured chains; these annotate record provenance only and are
@@ -95,15 +96,16 @@ def canonical_form(seq: BinarySequence) -> BinarySequence:
 
 # --- eta operators ---------------------------------------------------------
 
-#: eta index -> (name, length change)
+#: eta index -> (name, elements stripped at the front, stripped at the
+#: back, element added at the front, added at the back; 0 adds none)
 ETA_TABLE = {
-    0: ("strip-both", -2),
-    1: ("append +1", +1),
-    2: ("append -1", +1),
-    3: ("strip-first", -1),
-    4: ("strip-last", -1),
-    5: ("prepend +1", +1),
-    6: ("prepend -1", +1),
+    0: ("strip-both", 1, 1, 0, 0),
+    1: ("append +1", 0, 0, 0, +1),
+    2: ("append -1", 0, 0, 0, -1),
+    3: ("strip-first", 1, 0, 0, 0),
+    4: ("strip-last", 0, 1, 0, 0),
+    5: ("prepend +1", 0, 0, +1, 0),
+    6: ("prepend -1", 0, 0, -1, 0),
 }
 
 
@@ -113,7 +115,7 @@ class EtaOp:
 
     def __post_init__(self):
         if self.index not in ETA_TABLE:
-            raise DomainError(f"eta index must be in 0..6, got {self.index}")
+            raise DomainError(f"eta index must be in 0..{max(ETA_TABLE)}, got {self.index}")
 
     @property
     def name(self) -> str:
@@ -121,32 +123,25 @@ class EtaOp:
 
     @property
     def length_change(self) -> int:
-        return ETA_TABLE[self.index][1]
+        _, front, back, head, tail = ETA_TABLE[self.index]
+        return abs(head) + abs(tail) - front - back
+
+    def result_length(self, n: int) -> int:
+        """Length of the edit of a length-n sequence; DomainError when the
+        strips leave no element."""
+        name, front, back, _, _ = ETA_TABLE[self.index]
+        if n <= front + back:
+            raise DomainError(f"{name} needs length >= {front + back + 1}, got {n}")
+        return n + self.length_change
 
 
 def apply_eta(op: EtaOp, seq: BinarySequence) -> BinarySequence:
-    k = op.index
-    n = seq.n
-    if k == 0:
-        if n < 3:
-            raise DomainError(f"strip-both needs length >= 3, got {n}")
-        return BinarySequence((seq.bits >> 1) & ((1 << (n - 2)) - 1), n - 2)
-    if k == 1:
-        return BinarySequence((seq.bits << 1) | 1, n + 1)
-    if k == 2:
-        return BinarySequence(seq.bits << 1, n + 1)
-    if k == 3:
-        if n < 2:
-            raise DomainError(f"strip-first needs length >= 2, got {n}")
-        return BinarySequence(seq.bits & ((1 << (n - 1)) - 1), n - 1)
-    if k == 4:
-        if n < 2:
-            raise DomainError(f"strip-last needs length >= 2, got {n}")
-        return BinarySequence(seq.bits >> 1, n - 1)
-    if k == 5:
-        return BinarySequence(seq.bits | (1 << n), n + 1)
-    # k == 6
-    return BinarySequence(seq.bits, n + 1)
+    """The edit of `op`'s row: bit 0 of the packed value is the last
+    element, so the back is stripped and added at the low end."""
+    _, front, back, head, tail = ETA_TABLE[op.index]
+    n = op.result_length(seq.n)
+    body = (seq.bits >> back) & ((1 << (seq.n - front - back)) - 1)
+    return BinarySequence((body << abs(tail)) | (tail > 0) | ((head > 0) << (n - 1)), n)
 
 
 def apply_eta_chain(seq: BinarySequence, etas: Iterable[EtaOp]) -> BinarySequence:
@@ -192,7 +187,7 @@ def parse_class_expression(text: str) -> ClassExpression:
         if not m:
             raise ParseError(f"bad operator token {tok!r} in class expression")
         idx = int(m.group(1))
-        if idx > 6:
+        if idx not in ETA_TABLE:
             raise ParseError(f"bad operator token {tok!r} in class expression")
         etas.append(EtaOp(idx))
     return ClassExpression(base=base, etas=tuple(etas))

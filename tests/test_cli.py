@@ -3,7 +3,7 @@ import os
 import signal
 import subprocess
 import sys
-import time
+import threading
 
 import pytest
 
@@ -275,11 +275,27 @@ def test_search_interrupt_flushes_and_exits_130():
          "--seed", "1"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     )
-    time.sleep(3.0)
-    proc.send_signal(signal.SIGINT)
-    out, _err = proc.communicate(timeout=60)
+    # the run has no end of its own: interrupt it once it has improved at
+    # all three lengths, and kill it if that never happens
+    guard = threading.Timer(60, proc.kill)
+    guard.start()
+    try:
+        lines, waiting = [], {60, 61, 62}
+        while waiting:
+            line = proc.stdout.readline()
+            if not line:
+                break
+            lines.append(line)
+            record = json.loads(line)
+            if record.get("kind") == "improvement":
+                waiting.discard(record["target"])
+        proc.send_signal(signal.SIGINT)
+        out, _err = proc.communicate(timeout=60)
+    finally:
+        guard.cancel()
+    assert not waiting
     assert proc.returncode == 130
-    records = [json.loads(l) for l in out.splitlines() if l.strip()]
+    records = [json.loads(l) for l in lines + out.splitlines() if l.strip()]
     finals = [r for r in records if r.get("kind") == "final"]
     assert len(finals) == 3  # partial best triple flushed
     summary = [r for r in records if r.get("kind") == "summary"]

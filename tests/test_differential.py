@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labskit.pseudo import (append_delta, boundary_sums, materialize, probe_energies,
-                            probe_neighbors, truncate_delta)
+from labskit.pseudo import (append_delta, boundary_sums, probe_energies, probe_neighbors,
+                            truncate_delta)
 from labskit.reference import ref_energy
 from labskit.skew import SkewHalf, SkewSearchState, expand
 from labskit.solver import (POLICIES, POLICY_STRICT_DESCENT, activation_energy_bound,
                             hash_half_bits, pick_better_neighbor)
+from labskit.symmetry import apply_eta
 
 
 @st.composite
@@ -97,11 +98,12 @@ def test_folded_probes_match_probes_and_reference(half):
               truncate_delta(seq, "last"), truncate_delta(seq, "first"),
               append_delta(seq, 1, "first"), append_delta(seq, -1, "first")]
     assert [p.delta_sum for p in probes] == [a, a, sign * d, d, -sign * a, -sign * a]
+    deltas, energies = probe_energies(state.c, state.e, state.energy)
     for p in probes:
-        assert p.energy == ref_energy(materialize(seq, p).elements)
-    energies = probe_energies(state.c, state.e, state.energy)
-    assert list(energies) == [p.energy for p in probe_neighbors(seq)]
-    assert energies[2] == energies[3]  # dropping either end costs the same
+        assert p.energy == ref_energy(apply_eta(p.op, seq).elements)
+        assert (deltas[p.op.index], energies[p.op.index]) == (p.delta_sum, p.energy)
+    assert probe_neighbors(seq) == probes[:4]
+    assert energies[3] == energies[4]  # dropping either end costs the same
 
 
 def loop_pick(state, visited, policy, indices):

@@ -126,6 +126,33 @@ def test_eta_underlength_errors():
         EtaOp(7)
 
 
+#: eta index -> (element-tuple edit, shortest length it accepts)
+REFERENCE_ETA = {
+    0: (lambda e: e[1:-1], 3),
+    1: (lambda e: e + (1,), 1),
+    2: (lambda e: e + (-1,), 1),
+    3: (lambda e: e[1:], 2),
+    4: (lambda e: e[:-1], 2),
+    5: (lambda e: (1,) + e, 1),
+    6: (lambda e: (-1,) + e, 1),
+}
+
+
+def test_eta_matches_element_edits():
+    rnd = random.Random(17)
+    for n in range(1, 25):
+        for s in [random_binary(rnd, n) for _ in range(10)] + [BinarySequence(0, n)]:
+            for idx, (edit, shortest) in REFERENCE_ETA.items():
+                op = EtaOp(idx)
+                if n < shortest:
+                    with pytest.raises(DomainError):
+                        apply_eta(op, s)
+                    continue
+                out = apply_eta(op, s)
+                assert out.elements == edit(s.elements)
+                assert out.n == n + op.length_change
+
+
 def test_eta_chain():
     s = BinarySequence.from_elements([1, -1])
     out = apply_eta_chain(s, [EtaOp(1), EtaOp(5)])

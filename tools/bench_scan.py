@@ -10,8 +10,8 @@ Measures, single-threaded:
   (the range of a (6,3,3) search), on a seeded random state, at
   n in SCAN_LENGTHS;
 * `SkewSearchState.apply_flip` (a flip at q = l // 2 and its undo, per
-  flip) and `pseudo.probe_energies` per call on the same states, at n in
-  LAYER_LENGTHS;
+  flip) and `pseudo.probe_energies` (the walk's probe entry) per call on
+  the same states, at n in LAYER_LENGTHS;
 * `solver.run` flips/s with partition (6,3,3), seed 1 and a fixed flip
   budget per length, at n in RUN_LENGTHS, with the sha256 of the event
   stream, so that two trees can be checked for byte-identical output;
