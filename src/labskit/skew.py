@@ -39,21 +39,44 @@ expanding the square instead (b_q^2 = 1):
     S_q    = sum_u (b_{q+u} + b_{q-u})^2
            = #{in-range b_{q+u}, b_{q-u}} + 2 * sum_u b_{q+u}*b_{q-u}.
 
-A_q for all q is a correlation of the padded sequence with C mirrored
-onto the negative lags, one per parity of q as the odd lags are zero;
-the sum in S_q is read off the self-convolution of the elements of q's
-parity at index 2q.  For q < l the mirror term
-at u = n-1-2q comes off both: S_q loses 1 + 2*b_{q-u}*b_p (b_{q-u} = 0
-below the sequence) and A_q loses b_p*C_u.
+Summed over every lag v, negative ones and 0 included (the odd ones
+vanish), both come from two rows the state keeps:
 
-The state is one float64 buffer: elements, correlations and every
-per-flip sum above are integers of magnitude at most a few n^2, far
-below 2^53, so float64 holds them exactly in any summation order.  A
-full energy sum can reach about n^3/3, above 2^53 for n near
-`core.MAX_LENGTH`, so the energies of a fresh state and of a recompute
-square and sum the correlations in int64.  Exactness is enforced
-against the one-row form and full recomputation in the test suite, and
-optionally at runtime via LABSKIT_DEBUG_VERIFY=1.
+    P_q  = sum_{j = q mod 2} b_j * b_{2q-j} = 1 + 2 * sum_u b_{q+u}*b_{q-u},
+    A'_q = sum_v C_v * b_{q+v}              = A_q + n * b_q.
+
+For q < l the mirror term at u = n-1-2q comes off both: S_q loses
+1 + 2*b_{q-u}*b_p (b_{q-u} = 0 below the sequence) and A_q loses
+b_p*C_u; `_scan_weights` has the resulting weights of P, A' and C_u.
+
+`_scan_rows` builds P and A' from scratch, from the self-convolution
+of each parity class and a correlation with C, together with the full
+self-convolution K_s = sum_j b_j*b_{s-j}.  The first `flip_deltas` call
+builds them; from then on `apply_flip` keeps them in step.  With F the
+flipped positions ({q, n-1-q}, or {l} at the centre), D_f = -2*b_f, b
+and K before the flip, C before it and C' after it:
+
+    dA'_q = sum_{f in F} D_f * (C_{q-f} + C'_{q-f} + K_{q+f})
+            + sum_{f, g in F} D_f*D_g * b_{q+g-f},
+    dK_s  = sum_{f in F} 2*D_f * b_{s-f} + sum_{f+g = s} D_f*D_g,
+    dP_q  = dK_{2q} for q of the parity of F (both flipped positions
+            share it), 0 for the other parity.
+
+The ten windows of dA' are gathered from the one state buffer and summed
+by one matrix-vector product (`_row_starts`), dK is two slices, and dP
+a strided slice of dK, so a walk step does no O(n^2) work.  A state
+that is never scanned, such as a fresh state read only for its probes,
+never builds the rows.
+
+The state is one float64 buffer: elements, correlations, the rows and
+every per-flip sum above are integers of magnitude at most about n^2
+(|A'_q| <= sum_v |C_v| <= n^2), far below 2^53 up to `core.MAX_LENGTH`,
+so float64 holds them exactly in any summation order.  A full energy
+sum can reach about n^3/3, above 2^53 for n near `core.MAX_LENGTH`, so
+the energies of a fresh state and of a recompute square and sum the
+correlations in int64.  Exactness is enforced against the one-row form,
+full recomputation and a fresh rebuild of the rows in the test suite,
+and optionally at runtime via LABSKIT_DEBUG_VERIFY=1.
 
 `exhaustive_best` scores blocks of `EXHAUSTIVE_BLOCK` packed values as
 position-major (n, B) int32 columns (skew halves expanded along the
@@ -74,7 +97,8 @@ from .core import BinarySequence, SidelobeArray, lag_products
 from .errors import DomainError
 
 #: When set (env LABSKIT_DEBUG_VERIFY=1), every apply_flip re-derives the
-#: correlation array and the energy from scratch and asserts agreement.
+#: correlation array, the energy and the scan rows from scratch and
+#: asserts agreement.
 DEBUG_VERIFY = os.environ.get("LABSKIT_DEBUG_VERIFY", "") not in ("", "0")
 
 #: Packed values per block of exhaustive_best.
@@ -138,20 +162,32 @@ class SkewSearchState:
     energy, all updated in O(n) per flip.  `e` is a view into the
     sequence zero-padded by n-1 on both sides, and `c` is the right half
     of the correlations at every lag -(n-1)..n-1, which the neighbour
-    scan reads mirrored.  Both buffers are float64 and hold exact
-    integers; the energy is a Python int (see the module docstring).
+    scan reads mirrored.  From the first `flip_deltas` call on, the
+    state also keeps the scan's rows P, A' and the self-convolution K in
+    step with every flip (module docstring).  Every array is a view into
+    one float64 buffer of exact integers; the energy is a Python int.
     """
 
-    __slots__ = ("n", "l", "e", "c", "energy", "half_bits", "_padded", "_c_mirror")
+    __slots__ = ("n", "l", "e", "c", "energy", "half_bits", "_padded", "_c_mirror", "_dc",
+                 "_k", "_block", "_weights", "_window")
 
     def __init__(self, half: SkewHalf):
-        self.l = half.l
-        self.n = 2 * self.l + 1
-        self._padded = np.zeros(3 * self.n - 2)
-        self.e = self._padded[self.n - 1 : 2 * self.n - 1]
+        self.l = l = half.l
+        self.n = n = 2 * l + 1
+        c_at, _, _, block_at = _offsets(n)
+        # one buffer: the padded elements, C at the lags -(n-1)..n-1, the
+        # change of C in the last flip, K, and the scan block of rows
+        # P, C_m, A', b_{q-m} and ones.  Past C it stays untouched (and,
+        # when large, unmapped) until the first scan
+        x = np.zeros(block_at + 5 * (l + 1))
+        self._padded = x[:c_at]
+        self._c_mirror, self._dc, self._k = x[c_at:block_at].reshape(3, 2 * n - 1)
+        self._block = x[block_at:].reshape(5, l + 1)
+        self._weights = self._window = None
+        self.e = self._padded[n - 1 : 2 * n - 1]
         self.e[:] = expand_rows(np.array(half.elements))
-        self._c_mirror = np.correlate(self.e, self.e, mode="full")
-        self.c = self._c_mirror[self.n - 1 :]
+        self._c_mirror[:] = np.correlate(self.e, self.e, mode="full")
+        self.c = self._c_mirror[n - 1 :]
         self.energy = _energy(self.c)
         # the half packed little-endian: bit q set iff element q is +1
         self.half_bits = int("".join(["1" if e == 1 else "0" for e in half.elements[::-1]]), 2)
@@ -166,7 +202,9 @@ class SkewSearchState:
         return SkewHalf(tuple(int(x) for x in self.e[: self.l + 1]))
 
     def sequence(self) -> BinarySequence:
-        return BinarySequence.from_elements(self.e.astype(np.int64).tolist())
+        # packbits fills the last byte with zero bits from the right
+        packed = int.from_bytes(np.packbits(self.e > 0).tobytes(), "big")
+        return BinarySequence(packed >> (-self.n % 8), self.n)
 
     def sidelobes(self) -> SidelobeArray:
         return SidelobeArray(values=tuple(int(x) for x in self.c[:0:-1]), n=self.n)
@@ -191,8 +229,8 @@ class SkewSearchState:
         """E(after flip at q) - E(now) for every q in `qs`, exact, without mutating.
 
         Scores all l+1 positions at once by the correlation form of the
-        module docstring, with even q and odd q in separate halves, and
-        returns the entries `qs` asks for.
+        module docstring, from the maintained rows P and A' (built on the
+        first call), and returns the entries `qs` asks for.
         """
         qs = np.asarray(qs, dtype=np.int64)
         if not qs.shape[0]:
@@ -204,27 +242,22 @@ class SkewSearchState:
         n, l = self.n, self.l
         if not l:  # n = 1: no shifts to correlate, and its one flip keeps E = 0
             return np.zeros(qs.shape[0], dtype=np.int64)
-        weights, constant, pos = _scan_tables(n)
-        evens, odds = (l + 2) // 2, (l + 1) // 2  # even and odd q in 0..l
-        padded, c = self._padded, self._c_mirror
-        e = padded[n - 1 : 2 * n - 1]
-        e0, e1 = e[0::2], e[1::2]
-        lags = c[0::2]  # C_|v| at the even lags v = -(n-1)..n-1, C_0 = n included
-        rows = np.concatenate((
-            # 1 + 2 sum_u b_{q+u} b_{q-u}: self-convolution of q's parity class at 2q
-            np.convolve(e0, e0)[: 2 * evens : 2], np.convolve(e1, e1)[: 2 * odds : 2],
-            # C_u at the mirror shift u = n-1-2q
-            c[0 : 4 * evens : 4], c[2 : 4 * odds : 4],
-            # sum_v C_|v| b_{q+v} over the even lags
-            np.correlate(padded[0::2][: evens + 2 * l], lags, "valid"),
-            np.correlate(padded[1::2][: odds + 2 * l], lags, "valid"),
-            # b_{q-u} at the mirror shift u = n-1-2q, 0 below the sequence
-            padded[0 : 6 * evens : 6], padded[3 : 6 * odds : 6],
-            e0[:evens], e1[:odds],
-        )).reshape(5, l + 1)
-        rows[2:4] *= rows[4]
-        deltas = np.einsum("ij,ij->j", weights, rows[:4]) + constant
-        return deltas.astype(np.int64)[pos[qs]]
+        if self._weights is None:
+            self._build_rows()
+        block = self._block
+        block[1] = self._c_mirror[0:n:2]  # C_m at the mirror shift m = n-1-2q
+        block[3] = self._padded[0 : 3 * l + 1 : 3]  # b_{q-m}, 0 below the sequence
+        return np.einsum("ij,ij->j", self._weights, block).astype(np.int64)[qs]
+
+    def _build_rows(self) -> None:
+        """Build P, A' and K from scratch and start keeping them in step."""
+        n, l = self.n, self.l
+        block = self._block
+        block[0], block[2], self._k[:] = _scan_rows(self._padded, self._c_mirror)
+        block[4] = 1
+        self._weights = _scan_weights(n).copy()
+        self._weights[2:4] *= self.e[: l + 1]
+        self._window = np.lib.stride_tricks.sliding_window_view(self._padded.base, l + 1)
 
     def flip_delta(self, q: int) -> int:
         """E(after flip at q) - E(now), exact, without mutating.
@@ -236,16 +269,42 @@ class SkewSearchState:
     def apply_flip(self, q: int) -> None:
         """Flip position q (pairing with n-1-q for q < l), in place."""
         t = self._terms(q)
-        n, c_even = self.n, self.c[2::2]
-        self.energy += int(4 * np.dot(t, t - c_even))
-        t *= 2
-        c_even -= t
-        self._c_mirror[n - 3 :: -2] -= t  # the same shifts on the negative lags
+        n, dc = self.n, self._dc
+        self.energy += int(4 * np.dot(t, t - self.c[2::2]))
+        t *= -2
+        dc[n + 1 :: 2] = t  # C_u' - C_u at the even shifts u > 0
+        dc[n - 3 :: -2] = t  # the same shifts on the negative lags
+        if self._weights is not None:
+            self._update_rows(q)
+        self._c_mirror += dc
         for i in ((q,) if q == self.l else (q, n - 1 - q)):
             self.e[i] = -self.e[i]
         self.half_bits ^= 1 << q
         if DEBUG_VERIFY:
             self._verify()
+
+    def _update_rows(self, q: int) -> None:
+        """Step P, A' and K through the flip at q; reads b, C and K before
+        the flip, and the change of C already in `_dc`."""
+        n, l = self.n, self.l
+        b = self.e[q]
+        s = 0 if q == l else 1 - 2 * ((l - q) & 1)  # b_p = s*b_q, none at the centre
+        block, padded = self._block, self._padded
+        np.dot(_ROW_COEFS[int(b), s], self._window[_row_starts(n)[q]], out=block[2])
+        # K_s changes by 2*D_f*b_{s-f} + 2*D_p*b_{s-p} = -4*b_q*(b_{s-q} + s*b_{s-p})
+        dk = padded[n - 1 - q : 3 * n - 2 - q]
+        if s:
+            dk = (np.add if s > 0 else np.subtract)(dk, padded[q : q + 2 * n - 1])
+        dk = dk * (-4 * b)
+        dk[2 * q] += 4  # and by D_f*D_g where f+g = s
+        if s:
+            dk[4 * l - 2 * q] += 4
+            dk[2 * l] += 8 * s
+        self._k += dk
+        block[0, q & 1 :: 2] += dk[2 * (q & 1) : 2 * l + 1 : 4]
+        w = self._weights
+        w[2, q] = -w[2, q]
+        w[3, q] = -w[3, q]
 
     def _verify(self) -> None:
         corr = np.correlate(self.e, self.e, mode="full")
@@ -253,6 +312,16 @@ class SkewSearchState:
             raise AssertionError("incremental correlations diverged from recompute")
         if self.energy != _energy(corr[self.n - 1 :]):
             raise AssertionError("incremental energy diverged from recompute")
+        if self._weights is not None:
+            p, a, k = _scan_rows(self._padded, self._c_mirror)
+            if not (np.array_equal(p, self._block[0]) and np.array_equal(a, self._block[2])
+                    and np.array_equal(k, self._k)):
+                raise AssertionError("maintained scan rows diverged from rebuild")
+
+
+def _offsets(n: int) -> tuple:
+    """Where C, its change, K and the scan block start in a state's buffer."""
+    return 3 * n - 2, 5 * n - 3, 7 * n - 4, 9 * n - 5
 
 
 def _energy(c: np.ndarray) -> int:
@@ -261,33 +330,77 @@ def _energy(c: np.ndarray) -> int:
     return int(np.sum(c[1:].astype(np.int64) ** 2))
 
 
+def _scan_rows(padded: np.ndarray, c_mirror: np.ndarray) -> tuple:
+    """P, A' and K of the module docstring, from scratch: P_q from the
+    self-convolution of q's parity class at 2q, A'_q from a correlation
+    of that class with C over the even lags, and K in full."""
+    n = c_mirror.shape[0] // 2 + 1
+    l = n // 2
+    e = padded[n - 1 : 2 * n - 1]
+    p, a = np.empty(l + 1), np.empty(l + 1)
+    lags = c_mirror[0::2]  # C_|v| at the even lags v = -(n-1)..n-1, C_0 = n included
+    for r in (0, 1):
+        m = (l + 2 - r) // 2  # the q = r, r+2, .. <= l
+        p[r::2] = np.convolve(e[r::2], e[r::2])[: 2 * m : 2]
+        a[r::2] = np.correlate(padded[r::2][: m + 2 * l], lags, "valid")
+    return p, a, np.convolve(e, e)
+
+
 @functools.lru_cache(maxsize=16)
-def _scan_tables(n: int) -> tuple:
-    """Per-length constants of `flip_deltas`, in its column order (even q,
-    then odd q): the weights of its four rows, the constant term, and the
-    column of each q.
+def _scan_weights(n: int) -> np.ndarray:
+    """The weights of the scan block's rows P, C_m, A', b_{q-m} and 1 at
+    length n, before the b_q factor of rows 2 and 3.
 
     With m = n-1-2q the mirror shift, s_q = b_q*b_p = (-1)^(l-q) by the
-    skew rule (0 at the centre), P_q = 1 + 2*sum_u b_{q+u}*b_{q-u} and
-    A'_q = sum_v C_|v|*b_{q+v} over every even lag v, 0 included, the
-    module docstring's energy change is
+    skew rule (0 at the centre), P_q = sum_j b_j*b_{2q-j} over j of q's
+    parity and A'_q = sum_v C_|v|*b_{q+v} over every even lag v, 0
+    included, the module docstring's energy change is
 
         4f^2*P_q + 4f*s_q*C_m - 4f*b_q*A'_q - 8f^2*s_q*b_q*b_{q-m}
         + 4f^2*(in-range count - 1 - [q < l]) + 4f*n.
     """
     l = n // 2
-    q = np.concatenate((np.arange(0, l + 1, 2), np.arange(1, l + 1, 2)))
+    q = np.arange(l + 1)
     f = np.where(q == l, 1, 2)
     paired = q < l
     sign = np.where((l - q) % 2, -1, 1) * paired  # b_q * b_p by the skew rule
     in_range = (n - 1 - q) // 2 + q // 2  # even u with b_{q+u} or b_{q-u} in range
-    weights = np.stack((4 * f * f, 4 * f * sign, -4 * f, -8 * f * f * sign)).astype(np.float64)
-    constant = (4 * f * f * (in_range - 1 - paired) + 4 * f * n).astype(np.float64)
-    pos = np.empty(l + 1, dtype=np.int64)
-    pos[q] = np.arange(l + 1)
-    for table in (weights, constant, pos):
-        table.setflags(write=False)
-    return weights, constant, pos
+    weights = np.stack((4 * f * f, 4 * f * sign, -4 * f, -8 * f * f * sign,
+                        4 * f * f * (in_range - 1 - paired) + 4 * f * n)).astype(np.float64)
+    weights.setflags(write=False)
+    return weights
+
+
+def _row_coefs(b: int, s: int) -> np.ndarray:
+    """Coefficients of the rows `_row_starts` gathers for the A' update of
+    a flip of b_q = b with b_p = s*b (s = 0: the centre, no partner)."""
+    d1, d2 = -2 * b, -2 * b * s
+    return np.array((2 * d1, 2 * d2, d1, d2, d1, d2, d1 * d1 + d2 * d2, d1 * d2, d1 * d2, 1),
+                    dtype=np.float64)
+
+
+#: (b_q, s) -> coefficients of the A' update
+_ROW_COEFS = {(b, s): _row_coefs(b, s) for b in (1, -1) for s in (1, 0, -1)}
+
+
+@functools.lru_cache(maxsize=16)
+def _row_starts(n: int) -> np.ndarray:
+    """For each flip q, the buffer offsets of the windows of l+1 that the
+    A' update gathers.  With f = q and g = n-1-q (g = q at the centre)
+    they are C_{q'-f}, C_{q'-g}, dC_{q'-f}, dC_{q'-g}, K_{q'+f},
+    K_{q'+g}, b_q', b_{q'+g-f}, b_{q'+f-g} and A' itself, over q' = 0..l.
+    """
+    l = n // 2
+    f = np.arange(l + 1)
+    g = np.where(f < l, n - 1 - f, l)
+    c, dc, k, block = _offsets(n)
+    a = block + 2 * (l + 1)
+    const = np.full(l + 1, n - 1)
+    starts = np.stack((c + n - 1 - f, c + n - 1 - g, dc + n - 1 - f, dc + n - 1 - g,
+                       k + f, k + g, const, n - 1 + g - f, n - 1 + f - g, const - n + 1 + a),
+                      axis=1)
+    starts.setflags(write=False)
+    return starts
 
 
 # --- exhaustive search -----------------------------------------------------

@@ -6,9 +6,11 @@ q in [k, l] (pairing with n-1-q to preserve skew-symmetry), each with
 an O(n) incremental energy delta.  Per restart the search keeps a
 visited hash set and walks to the best unvisited neighbor (optionally
 only strictly improving ones) until the neighborhood is exhausted or
-the inner move budget runs out.  One step scores every free position
-in a single vectorised pass (`SkewSearchState.flip_deltas`) and takes
-the first unvisited one in stable order of energy change.  Whenever the
+the inner move budget runs out.  One step reads the energy change of
+every free position from rows the state keeps in step with each flip
+(`SkewSearchState.flip_deltas`; O(n) per step, the rows built once per
+restart) and takes the first unvisited one in stable order of energy
+change.  Whenever the
 current merit factor clears the activation threshold, the four adjacent
 pseudo-skew candidates of lengths n-1 and n+1 (the eta edits
 `pseudo.PROBE_EDITS`) are probed through their closed-form deltas, so

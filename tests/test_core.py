@@ -115,6 +115,16 @@ def test_bitpacked_kernel_matches_reference_exhaustively():
     assert tuple(ref_sidelobes(s.elements)) == sidelobes(s).values
 
 
+def test_ref_energy_matches_per_lag_sums():
+    rnd = random.Random(304)
+    for n in [*range(0, 40), 101, 1001]:
+        for _ in range(20 if n < 100 else 2):
+            elements = [rnd.choice((-1, 0, 1)) for _ in range(n)]
+            per_lag = sum(ref_autocorrelation(elements, u) ** 2 for u in range(1, n))
+            assert ref_energy(elements) == per_lag
+    assert ref_energy([1] * 1001) == sum(u * u for u in range(1, 1001))
+
+
 def test_binary_validation():
     with pytest.raises(DomainError):
         BinarySequence.from_elements([1, 0, -1])

@@ -76,15 +76,31 @@ def test_flip_deltas_match_at_long_lengths(half, data):
     check_drawn_scan(half, data)
 
 
-@pytest.mark.parametrize("n", [1, 3, 5, 201, 401, 1001, 2001])
+#: flips of the walk in `test_flip_deltas_at_fixed_lengths`
+WALK_FLIPS = 60
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 21, 101, 201, 401, 1001, 2001])
 def test_flip_deltas_at_fixed_lengths(n):
+    """A scan of a drawn range in drawn order, then a walk of random flips
+    with the centre among them: after each flip, the scan of the whole
+    half against the one-row form and the reference, and at the end the
+    rows the state kept in step against a fresh build."""
     rng = np.random.default_rng(n)
     l = n // 2
     state = SkewSearchState(SkewHalf(tuple(int(x) for x in rng.choice((-1, 1), l + 1))))
-    for _ in range(2):
-        qs = rng.permutation(np.arange(rng.integers(0, l + 1), l + 1)).tolist()
-        check_scan(state, qs, edge_rows(l, qs) + qs[:1])
-        state.apply_flip(int(rng.integers(0, l + 1)))
+    qs = rng.permutation(np.arange(rng.integers(0, l + 1), l + 1)).tolist()
+    check_scan(state, qs, edge_rows(l, qs) + qs[:1])
+    flips = rng.integers(0, l + 1, WALK_FLIPS)
+    flips[rng.integers(0, WALK_FLIPS, 3)] = l
+    every = list(range(l + 1))
+    for q in flips.tolist():
+        state.apply_flip(q)
+        check_scan(state, every, edge_rows(l, every))
+    fresh = SkewSearchState(state.half())
+    fresh.flip_deltas(every)  # builds its rows from scratch
+    for rows in ("_block", "_k", "_weights"):
+        np.testing.assert_array_equal(getattr(state, rows), getattr(fresh, rows))
 
 
 @settings(max_examples=150, deadline=None)

@@ -148,6 +148,15 @@ def test_flip_index_range():
         st.apply_flip(-1)
 
 
+def test_sequence_packs_the_elements():
+    rnd = random.Random(27)
+    for n in [*range(1, 42, 2), 1001]:
+        st = SkewSearchState(random_half(rnd, n // 2))
+        for q in (0, n // 2, rnd.randrange(n // 2 + 1)):
+            st.apply_flip(q)
+            assert st.sequence() == BinarySequence.from_elements(int(x) for x in st.e)
+
+
 def test_state_roundtrip():
     half = SkewHalf((1, -1, -1, 1))
     st = SkewSearchState(half)
@@ -195,6 +204,15 @@ def test_debug_verify_walk_checks_correlations(monkeypatch):
     st._c_mirror[1] += 2  # a maintained correlation off by an update
     with pytest.raises(AssertionError, match="correlations diverged"):
         st.apply_flip(3)
+    # a maintained scan row off by an update: K, P or A'
+    for corrupt in (lambda st: st._k[7:8], lambda st: st._block[0, 4:5],
+                    lambda st: st._block[2, 9:10]):
+        st = SkewSearchState(random_half(random.Random(26), 20))
+        st.flip_deltas(range(21))  # builds the rows; from now on every flip checks them
+        st.apply_flip(5)
+        corrupt(st)[:] += 2
+        with pytest.raises(AssertionError, match="scan rows diverged"):
+            st.apply_flip(3)
 
 
 def test_energy_past_float_precision_is_exact(monkeypatch):
@@ -206,7 +224,11 @@ def test_energy_past_float_precision_is_exact(monkeypatch):
         lags = np.fft.irfft(np.fft.rfft(a, size) * np.conj(np.fft.rfft(v, size)), size)
         return np.rint(np.concatenate((lags[size - len(v) + 1 :], lags[: len(a)])))
 
+    def no_convolve(*args, **kwargs):
+        raise AssertionError("a fresh state builds no scan rows")
+
     monkeypatch.setattr(np, "correlate", fft_correlate)
+    monkeypatch.setattr(np, "convolve", no_convolve)
     l = 499_999  # n = 999_999 <= MAX_LENGTH
     # the alternating half makes the skew tail constant: C_u ~ n - 2u.  Sums
     # of a multiple of 8 odd squares stay exact in float64 up to 2^56.

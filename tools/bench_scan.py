@@ -9,9 +9,13 @@ Measures, single-threaded:
 * `SkewSearchState.flip_deltas` per call over the free range q = 12..l
   (the range of a (6,3,3) search), on a seeded random state, at
   n in SCAN_LENGTHS;
+* one walk step, that scan plus an `apply_flip` at the next of a seeded
+  cycle of free positions, at n in SCAN_LENGTHS.  A tree that keeps the
+  scan's rows in step with each flip moves cost from the scan into the
+  flip, so only the step compares such trees;
 * `SkewSearchState.apply_flip` (a flip at q = l // 2 and its undo, per
-  flip) and `pseudo.probe_energies` (the walk's probe entry) per call on
-  the same states, at n in LAYER_LENGTHS;
+  flip, on a state scanned once) and `pseudo.probe_energies` (the walk's
+  probe entry) per call on the same states, at n in LAYER_LENGTHS;
 * `solver.run` flips/s with partition (6,3,3), seed 1 and a fixed flip
   budget per length, at n in RUN_LENGTHS, with the sha256 of the event
   stream, so that two trees can be checked for byte-identical output;
@@ -37,6 +41,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
@@ -92,11 +97,26 @@ def time_scan(n: int) -> dict:
     return {"n": n, **per_call_us(lambda: state.flip_deltas(free))}
 
 
+def time_step(n: int) -> dict:
+    import numpy as np
+
+    state = seeded_state(n)
+    free = np.arange(sum(PARTITION), state.l + 1)
+    flips = itertools.cycle(np.random.default_rng(n).choice(free, 1000).tolist())
+
+    def step():
+        state.flip_deltas(free)
+        state.apply_flip(next(flips))
+
+    return {"n": n, **per_call_us(step)}
+
+
 def time_layers(n: int) -> dict:
     from labskit import pseudo
 
     state = seeded_state(n)
     q = state.l // 2
+    state.flip_deltas([q])  # as in a walk, where every flip follows a scan
 
     def flip_and_undo():
         state.apply_flip(q)
@@ -170,6 +190,7 @@ def main(argv=None) -> int:
         "seed": SEED,
         "repeats": REPEATS,
         "scan": [time_scan(n) for n in SCAN_LENGTHS],
+        "step": [time_step(n) for n in SCAN_LENGTHS],
         "layers": [time_layers(n) for n in LAYER_LENGTHS],
         "run": [time_run(n) for n in RUN_BUDGETS],
         "exact": time_exact(),
@@ -180,6 +201,8 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(data, indent=1) + "\n")
     for row in entry["scan"]:
         print(f"scan n={row['n']}: {row['median_us']:.1f} us/call")
+    for row in entry["step"]:
+        print(f"step n={row['n']}: {row['median_us']:.1f} us/step")
     for row in entry["layers"]:
         print(f"apply_flip n={row['n']}: {row['apply_flip']['median_us']:.1f} us/call, "
               f"probe_energies: {row['probe_energies']['median_us']:.1f} us/call")
