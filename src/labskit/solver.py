@@ -9,15 +9,18 @@ only strictly improving ones) until the neighborhood is exhausted or
 the inner move budget runs out.  One step reads the energy change of
 every free position from rows the state keeps in step with each flip
 (`SkewSearchState.flip_deltas`; O(n) per step, the rows built once per
-restart) and takes the first unvisited one in stable order of energy
-change.  Whenever the
-current merit factor clears the activation threshold, the four adjacent
-pseudo-skew candidates of lengths n-1 and n+1 (the eta edits
-`pseudo.PROBE_EDITS`) are probed through their closed-form deltas, so
-one run maintains best candidates at three lengths at once.  At a fixed length a higher merit factor is a lower
-energy, so the walk compares integer energies and builds a `Fraction`
-only for an improvement it reports; the activation threshold becomes an
-energy bound computed once per run (`activation_energy_bound`).
+restart) and takes the first unvisited one in (energy change, index)
+order: the `argmin` of the changes, retried a few times with each
+visited entry masked, and a stable sort of the rest only after those
+tries (`pick_better_neighbor`).  Whenever the current merit factor
+clears the activation threshold, the four adjacent pseudo-skew
+candidates of lengths n-1 and n+1 (the eta edits `pseudo.PROBE_EDITS`)
+are probed through their closed-form deltas, so one run maintains best
+candidates at three lengths at once.  At a fixed length a higher merit
+factor is a lower energy, so the walk compares integer energies and
+builds a `Fraction` only for an improvement it reports; the activation
+threshold becomes an energy bound computed once per run
+(`activation_energy_bound`).
 
 Workers are share-nothing processes with RNG streams derived from
 (seed, worker id); the merged result takes the per-target maximum.
@@ -165,19 +168,44 @@ class SolverResult:
     metadata: dict = field(default_factory=dict)
 
 
+#: argmin tries of the pick before it falls back to a stable sort
+_ARGMIN_TRIES = 3
+#: the value a tried delta is masked with; every real delta is below it
+_MASKED = np.iinfo(np.int64).max
+
+
+def _stable_order(deltas: np.ndarray):
+    """Indices of `deltas` in (delta, index) order.
+
+    The first few come from `argmin`, which returns the first minimum;
+    each is masked in place once its consumer resumes the generator, so
+    the next `argmin` finds the entry after it.  The rest come from a
+    stable sort of the masked array, which lists the tried indices again,
+    last.
+    """
+    for _ in range(min(_ARGMIN_TRIES, deltas.shape[0])):
+        i = int(deltas.argmin())
+        yield i
+        deltas[i] = _MASKED
+    yield from np.argsort(deltas, kind="stable").tolist()
+
+
 def pick_better_neighbor(state: SkewSearchState, visited: set, policy: str,
                          indices: Optional[Sequence[int]] = None) -> Optional[int]:
     """Index of the best unvisited single-flip neighbor, or None.
 
     Under strict-descent only neighbors with lower energy qualify; under
     self-avoiding-best the best unvisited neighbor wins regardless.
-    Ties break to the smallest index (the first in `indices`): a stable
-    sort of the energy changes puts them in that order, and the walk
-    down it stops at the first neighbor not in `visited`.
+    Ties break to the smallest index (the first in `indices`).  The pick
+    tests the `argmin` of the energy changes; while that neighbor is in
+    `visited`, it masks the entry and takes the `argmin` again, up to
+    `_ARGMIN_TRIES` times, and then walks a stable sort of the rest
+    (`_stable_order`).  Either way it stops at the first neighbor not
+    in `visited`.
     """
     qs = np.arange(state.l + 1) if indices is None else np.asarray(indices)
-    deltas = state.flip_deltas(qs)
-    for i in np.argsort(deltas, kind="stable").tolist():
+    deltas = state.flip_deltas(qs)  # a fresh array, so the masking is private
+    for i in _stable_order(deltas):
         q = int(qs[i])
         if hash_half_bits(state.half_bits ^ (1 << q), state.l + 1) in visited:
             continue
@@ -288,6 +316,9 @@ def _run_worker(config: SolverConfig, worker_id: int,
             visited = {hash_state(state)}
             w_i = 0
             consider_target(state)
+            # the first pick builds the scan's rows in O(n^2)
+            if deadline is not None and time.monotonic() >= deadline:
+                break
             while True:
                 q = pick_better_neighbor(state, visited, config.policy, free)
                 if q is None:

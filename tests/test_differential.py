@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from labskit.pseudo import (append_delta, boundary_sums, probe_energies, probe_neighbors,
@@ -164,6 +164,49 @@ def test_pick_ties_resolve_to_smallest_index():
     for policy in POLICIES:
         assert pick_better_neighbor(state, visited, policy) == 0
         assert pick_better_neighbor(state, visited, policy, [2, 0]) == 2
+
+
+@st.composite
+def halves_with_positions(draw):
+    """A half and a drawn list of its positions: unsorted and, mostly,
+    non-contiguous."""
+    half = draw(skew_halves(max_l=40))
+    return half, draw(st.lists(st.integers(0, half.l), min_size=1, unique=True))
+
+
+#: the tied all-ones half of `test_pick_ties_resolve_to_smallest_index`
+TIED_HALF = SkewHalf((1,) * 5)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=halves_with_positions())
+@example(case=(TIED_HALF, None))
+@example(case=(TIED_HALF, [2, 0]))
+@example(case=(TIED_HALF, [4, 3, 2, 1, 0]))
+def test_pick_argmin_tries_match_loop_over_visited_prefixes(case):
+    """With the first m neighbours of the stable (delta, index) order
+    visited, for every m, the pick equals `loop_pick` under both policies:
+    m < 3 ends in an `argmin` try, larger m in the sort fallback, and
+    m = len(indices) visits every neighbour.  The pick mutates neither
+    the caller's arrays nor the state."""
+    half, indices = case
+    state = SkewSearchState(half)
+    qs = list(range(state.l + 1)) if indices is None else indices
+    caller = None if indices is None else np.array(indices)
+    deltas = state.flip_deltas(qs)
+    order = sorted(range(len(qs)), key=lambda i: (state.flip_delta(qs[i]), i))
+    keys = [hash_half_bits(state.half_bits ^ (1 << qs[i]), state.l + 1) for i in order]
+    for m in range(len(qs) + 1):
+        visited = set(keys[:m])
+        for policy in POLICIES:
+            got = pick_better_neighbor(state, visited, policy, caller)
+            assert got == loop_pick(state, visited, policy, qs)
+            if m == len(qs):
+                assert got is None
+        assert visited == set(keys[:m])
+    if caller is not None:
+        np.testing.assert_array_equal(caller, indices)
+    np.testing.assert_array_equal(state.flip_deltas(qs), deltas)
 
 
 def passes(n, energy, t_activate):

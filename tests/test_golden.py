@@ -3,8 +3,9 @@
 Each case pins the sha256 of the run's event stream (sorted-key JSON of
 each event, one per line) and its flip and probe counts.  The cases
 cover both policies, an activation threshold that gates some probes
-but not all, and a length where the neighbour scan is long.  A deliberate change to
-the walk must re-record these values; a speed-up must not.
+but not all, and lengths where the neighbour scan is long (201 and 1001).
+A deliberate change to the walk must re-record these values; a speed-up
+must not.
 """
 
 import hashlib
@@ -23,6 +24,10 @@ GOLDEN = [
      "01041b23d6681683a06a9e387af4bf3e824edcd3d68a3ab27dcdebf801f49b8f", 938, 12),
     (SolverConfig(n=201, partition=(6, 3, 3), t_inner=60, t_outer=2, seed=5),
      "7dd23c35466435f1bd414810a0183c4e6efa1b41a60e35221a29bc6a182e7c90", 183, 732),
+    # the length of the walk-1001 benchmark, where the pick's first argmin
+    # try is unvisited on most steps
+    (SolverConfig(n=1001, partition=(6, 3, 3), t_inner=100, t_outer=1, seed=7),
+     "0dd04abfdc3305e4409091c53f4bec436c05636adc0b1ec893638890c5570af4", 202, 808),
 ]
 
 

@@ -201,6 +201,28 @@ def test_time_limit_checked_every_flip():
     assert result.stats.elapsed < cfg.time_limit + 0.3  # 256 flips take ~1 s
 
 
+def test_deadline_checked_before_the_first_row_build(monkeypatch):
+    """A deadline that passes while a restart builds its state ends the
+    run before the first pick builds the scan's rows in O(n^2)."""
+    clock = [0.0]
+
+    class SlowState(SkewSearchState):
+        def __init__(self, half):
+            super().__init__(half)
+            clock[0] = 10.0  # the deadline passes during the set-up
+
+    def build_rows(self):
+        raise AssertionError("rows built after the deadline")
+
+    monkeypatch.setattr("labskit.solver.time.monotonic", lambda: clock[0])
+    monkeypatch.setattr("labskit.solver.SkewSearchState", SlowState)
+    monkeypatch.setattr(SkewSearchState, "_build_rows", build_rows)
+    cfg = SolverConfig(n=101, partition=(6, 3, 3), seed=1, time_limit=1.0)
+    result = run(cfg)
+    assert (result.stats.flips, result.stats.restarts) == (0, 1)
+    assert [(ev["n"], ev["flips"], ev["restarts"]) for ev in result.events] == [(101, 0, 1)]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_parallel_workers_merge(workers):
     cfg = SolverConfig(n=21, partition=(2, 1), t_inner=200, t_outer=4, seed=5,

@@ -15,7 +15,10 @@ Measures, single-threaded:
   flip, so only the step compares such trees;
 * `SkewSearchState.apply_flip` (a flip at q = l // 2 and its undo, per
   flip, on a state scanned once) and `pseudo.probe_energies` (the walk's
-  probe entry) per call on the same states, at n in LAYER_LENGTHS;
+  probe entry) per call on the same states, and then
+  `solver.pick_better_neighbor` per call (scan included) over the free
+  range, after one walk step, with the state before that step visited,
+  at n in LAYER_LENGTHS;
 * `solver.run` flips/s with partition (6,3,3), seed 1 and a fixed flip
   budget per length, at n in RUN_LENGTHS, with the sha256 of the event
   stream, so that two trees can be checked for byte-identical output;
@@ -54,7 +57,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SCAN_LENGTHS = (101, 201, 401, 1001, 2001)
 LAYER_LENGTHS = (101, 1001)
 #: n -> (t_inner, t_outer): (t_inner + 1) * (t_outer + 1) flips at most
-RUN_BUDGETS = {101: (2000, 4), 201: (1000, 4), 401: (500, 2), 1001: (200, 1)}
+RUN_BUDGETS = {101: (2000, 4), 201: (1000, 4), 401: (500, 2), 1001: (200, 1),
+               4001: (100, 1)}
 PARTITION = (6, 3, 3)
 SEED = 1
 #: (n, skew_only) and (k, parts) of the timed exact-tool calls
@@ -112,7 +116,9 @@ def time_step(n: int) -> dict:
 
 
 def time_layers(n: int) -> dict:
+    import numpy as np
     from labskit import pseudo
+    from labskit.solver import POLICY_SELF_AVOIDING, hash_state, pick_better_neighbor
 
     state = seeded_state(n)
     q = state.l // 2
@@ -125,8 +131,16 @@ def time_layers(n: int) -> dict:
     args = (state.c, state.e, state.energy)
     if hasattr(pseudo, "probe_tables"):  # trees before the two-sum probe
         args += (pseudo.probe_tables(n),)
-    return {"n": n, "apply_flip": per_call_us(flip_and_undo, per=2),
-            "probe_energies": per_call_us(lambda: pseudo.probe_energies(*args))}
+    row = {"n": n, "apply_flip": per_call_us(flip_and_undo, per=2),
+           "probe_energies": per_call_us(lambda: pseudo.probe_energies(*args))}
+    # one walk step first, so that the neighbour back through it is visited
+    free = np.arange(sum(PARTITION), state.l + 1)
+    visited = {hash_state(state)}
+    state.apply_flip(pick_better_neighbor(state, visited, POLICY_SELF_AVOIDING, free))
+    visited.add(hash_state(state))
+    row["pick_better_neighbor"] = per_call_us(
+        lambda: pick_better_neighbor(state, visited, POLICY_SELF_AVOIDING, free))
+    return row
 
 
 def time_run(n: int) -> dict:
@@ -205,7 +219,8 @@ def main(argv=None) -> int:
         print(f"step n={row['n']}: {row['median_us']:.1f} us/step")
     for row in entry["layers"]:
         print(f"apply_flip n={row['n']}: {row['apply_flip']['median_us']:.1f} us/call, "
-              f"probe_energies: {row['probe_energies']['median_us']:.1f} us/call")
+              f"probe_energies: {row['probe_energies']['median_us']:.1f} us/call, "
+              f"pick_better_neighbor: {row['pick_better_neighbor']['median_us']:.1f} us/call")
     for row in entry["run"]:
         print(f"run n={row['n']}: {row['median_flips_per_s']:.0f} flips/s "
               f"({row['flips']} flips, events {row['events_sha256'][:12]})")
