@@ -156,12 +156,7 @@ def _cmd_search(args) -> int:
             record["elapsed_ms"] = round((time.monotonic() - t0) * 1000.0, 3)
         _emit(record, args.human)
 
-    interrupted = False
-    try:
-        result = run(config, on_event=on_event)
-        interrupted = result.stats.interrupted
-    except KeyboardInterrupt:
-        return EXIT_INTERRUPT
+    result = run(config, on_event=on_event)
     for target_n, rec in sorted(result.best.by_length(config.n).items()):
         record = {"command": "search", "kind": "final", "target": target_n}
         if rec is None:
@@ -183,14 +178,14 @@ def _cmd_search(args) -> int:
         "workers": config.workers,
         "policy": config.policy,
         "partition": list(config.partition),
-        "interrupted": interrupted,
+        "interrupted": result.stats.interrupted,
     }
     if args.timing:
         summary["elapsed_ms"] = round(result.stats.elapsed * 1000.0, 3)
         summary["per_worker"] = result.stats.per_worker
         summary["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     _emit(summary, args.human)
-    return EXIT_INTERRUPT if interrupted else EXIT_OK
+    return EXIT_INTERRUPT if result.stats.interrupted else EXIT_OK
 
 
 # --- exhaustive -------------------------------------------------------------

@@ -22,18 +22,25 @@ builds a `Fraction` only for an improvement it reports; the activation
 threshold becomes an energy bound computed once per run
 (`activation_energy_bound`).
 
-Workers are share-nothing processes with RNG streams derived from
-(seed, worker id); the merged result takes the per-target maximum.
-Single-worker runs are fully deterministic for a fixed seed.
+`walk` yields the improvements and one consumer turns them into best
+records and events, inline for one worker and in each process for
+more.  Workers are share-nothing processes with RNG streams derived
+from (seed, worker id); their events stream live, and the merged
+result takes the per-target maximum.  A Ctrl-C sets a shared stop, so
+every worker reports its best so far.  Single-worker runs are fully
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing as mp
+import signal
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from multiprocessing.connection import wait
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -257,118 +264,149 @@ def _event(kind: str, target_n: int, mf: Fraction, seq: BinarySequence,
     }
 
 
-def _run_worker(config: SolverConfig, worker_id: int,
-                on_event: Optional[Callable[[dict], None]] = None) -> SolverResult:
+def walk(config: SolverConfig, worker_id: int, stats: RunStats, stop=None):
+    """Yield `(length, energy, sequence)` for each improvement of worker
+    `worker_id`'s restart walk, counting in `stats`.  Each pass of the
+    loop takes one state, a restart's or a flip's.  The deadline and
+    `stop` (a shared flag, set once its `value` is true) are checked once
+    per pass, before the pick, whose first call on a restart builds the
+    scan's rows in O(n^2)."""
     n = config.n
-    k = config.order
-    l = n // 2
-    free = np.arange(k, l + 1)
+    free = np.arange(config.order, n // 2 + 1)
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=(config.seed & _M64, worker_id)))
     activate_energy = activation_energy_bound(n, config.t_activate)
-    probe_edits = [(op, n + op.length_change) for op in PROBE_EDITS]
-
-    best = BestTriple()
-    slots = {n - 1: "shorter", n: "target", n + 1: "longer"}
+    # (length, edit) of what a state scores: itself, then its four probes
+    candidates = [(n, None)] + [(n + op.length_change, op) for op in PROBE_EDITS]
     # best energy so far per length; at one length, lower energy = higher MF
-    best_energy = dict.fromkeys(slots)
-    stats = RunStats()
-    events: List[dict] = []
-    start = time.monotonic()
-    deadline = None if config.time_limit is None else start + config.time_limit
-
-    def improves(length: int, energy: int) -> bool:
-        old = best_energy[length]
-        return old is None or energy < old
-
-    def record(length: int, energy: int, seq: BinarySequence) -> None:
-        best_energy[length] = energy
-        mf = Fraction(length * length, 2 * energy)
-        setattr(best, slots[length], BestRecord(mf, seq, stats.flips, stats.restarts,
-                                                time.monotonic() - start, worker_id))
-        ev = _event("improvement", length, mf, seq, stats.flips, stats.restarts, worker_id)
-        events.append(ev)
-        if on_event is not None:
-            on_event(ev)
-
-    def consider_target(state: SkewSearchState) -> None:
-        if improves(n, state.energy):
-            record(n, state.energy, state.sequence())
-
-    def probe_adjacent(state: SkewSearchState) -> None:
-        stats.probes += 4
-        base = None
-        energies = probe_energies(state.c, state.e, state.energy)[1]
-        for op, length in probe_edits:
-            energy = energies[op.index]
-            if improves(length, energy):
-                if base is None:
-                    base = state.sequence()
-                record(length, energy, apply_eta(op, base))
-
-    try:
-        while True:
-            if deadline is not None and time.monotonic() >= deadline:
-                break
+    best_energy = {length: math.inf for length, _ in candidates}
+    deadline = math.inf if config.time_limit is None else time.monotonic() + config.time_limit
+    restart = True
+    while time.monotonic() < deadline and not (stop is not None and stop.value):
+        if restart:
+            # every restart counts toward the outer budget
+            if stats.restarts > config.t_outer:
+                return
             stats.restarts += 1
-            half = sample_member(config.partition, n, rng)
-            state = SkewSearchState(half)
+            state = SkewSearchState(sample_member(config.partition, n, rng))
             visited = {hash_state(state)}
             w_i = 0
-            consider_target(state)
-            # the first pick builds the scan's rows in O(n^2)
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            while True:
-                q = pick_better_neighbor(state, visited, config.policy, free)
-                if q is None:
-                    break
-                state.apply_flip(q)
-                stats.flips += 1
-                w_i += 1
-                visited.add(hash_state(state))
-                consider_target(state)
-                if state.energy <= activate_energy:
-                    probe_adjacent(state)
-                if w_i > config.t_inner:
-                    break
-                if deadline is not None and time.monotonic() >= deadline:
-                    break
-            # every restart counts toward the outer budget; the visited
-            # set and inner counter reset on the next pass
-            if stats.restarts > config.t_outer:
-                break
+        else:
+            q = pick_better_neighbor(state, visited, config.policy, free)
+            if q is None:
+                restart = True
+                continue
+            state.apply_flip(q)
+            stats.flips += 1
+            w_i += 1
+            visited.add(hash_state(state))
+        # the state itself and, once it has moved and while it clears the
+        # activation bound, its four adjacent-length probes
+        probing = w_i and state.energy <= activate_energy
+        if probing:
+            stats.probes += 4
+            energies = probe_energies(state.c, state.e, state.energy)[1]
+        base = None
+        for length, op in candidates if probing else candidates[:1]:
+            energy = state.energy if op is None else energies[op.index]
+            if energy < best_energy[length]:
+                best_energy[length] = energy
+                if base is None:
+                    base = state.sequence()
+                yield length, energy, base if op is None else apply_eta(op, base)
+        restart = w_i > config.t_inner
+
+
+def _consume(config: SolverConfig, worker_id: int, emit: Callable[[dict], None],
+             stop=None) -> SolverResult:
+    """Keep the best record per length of worker `worker_id`'s walk and
+    pass each improvement's event to `emit`.  A KeyboardInterrupt, in
+    `emit` too, ends the walk as an interrupted result."""
+    best = BestTriple()
+    slots = {config.n - 1: "shorter", config.n: "target", config.n + 1: "longer"}
+    stats = RunStats()
+    start = time.monotonic()
+    try:
+        for length, energy, seq in walk(config, worker_id, stats, stop):
+            mf = Fraction(length * length, 2 * energy)
+            setattr(best, slots[length], BestRecord(mf, seq, stats.flips, stats.restarts,
+                                                    time.monotonic() - start, worker_id))
+            emit(_event("improvement", length, mf, seq, stats.flips, stats.restarts,
+                        worker_id))
     except KeyboardInterrupt:
         stats.interrupted = True
     stats.elapsed = time.monotonic() - start
-    return SolverResult(config=config, best=best, stats=stats, events=events,
-                        metadata=_metadata(config))
+    return SolverResult(config=config, best=best, stats=stats)
 
 
 def _metadata(config: SolverConfig) -> dict:
-    return {
-        "n": config.n,
-        "partition": list(config.partition),
-        "t_inner": config.t_inner,
-        "t_outer": config.t_outer,
-        "t_activate": config.t_activate,
-        "workers": config.workers,
-        "seed": config.seed,
-        "time_limit": config.time_limit,
-        "policy": config.policy,
-        "rng": "numpy PCG64, SeedSequence(entropy=(seed, worker_id))",
-    }
+    return {**asdict(config), "partition": list(config.partition),
+            "rng": "numpy PCG64, SeedSequence(entropy=(seed, worker_id))"}
 
 
-def _worker_entry(args) -> SolverResult:
-    config, worker_id = args
-    return _run_worker(config, worker_id, on_event=None)
+def _walk_process(config: SolverConfig, worker_id: int, conn, stop) -> None:
+    """Worker process: send each event, then the result or the exception
+    the walk raised.  Ctrl-C is the parent's to handle."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        conn.send(_consume(config, worker_id, conn.send, stop))
+    except Exception as exc:
+        conn.send(exc)
 
 
-def _merge(config: SolverConfig, results: List[SolverResult]) -> SolverResult:
+def _run_workers(config: SolverConfig,
+                 emit: Callable[[dict], None]) -> Tuple[List[SolverResult], bool]:
+    """One walk per process, each event passed to `emit` as it arrives.
+    A SIGINT sets the shared stop; the workers then report as usual.
+    Returns the results in worker order and whether a SIGINT came.  A
+    worker's exception, or its exit without a report, is raised here,
+    and no worker outlives the call."""
+    stop = mp.RawValue("b", 0)  # lock-free: a handler may run inside any call
+    conns, procs, results = {}, [], {}  # conns: reader -> worker id
+
+    def on_sigint(signum, frame):
+        stop.value = 1
+
+    # where a SIGINT would raise KeyboardInterrupt here, it sets the stop instead
+    hook = (threading.current_thread() is threading.main_thread()
+            and signal.getsignal(signal.SIGINT) is signal.default_int_handler)
+    if hook:
+        signal.signal(signal.SIGINT, on_sigint)
+    try:
+        for w in range(config.workers):
+            recv, send = mp.Pipe(duplex=False)
+            procs.append(mp.Process(target=_walk_process, args=(config, w, send, stop)))
+            procs[-1].start()
+            send.close()  # the worker then holds the only writer: EOF once it is gone
+            conns[recv] = w
+        while len(results) < config.workers:
+            for conn in wait([c for c, w in conns.items() if w not in results]):
+                try:
+                    msg = conn.recv()
+                except EOFError:
+                    raise RuntimeError(f"worker {conns[conn]} exited "
+                                       "without reporting") from None
+                if isinstance(msg, SolverResult):
+                    results[conns[conn]] = msg
+                elif isinstance(msg, BaseException):
+                    raise msg
+                else:
+                    emit(msg)
+        return [results[w] for w in range(config.workers)], bool(stop.value)
+    finally:
+        if hook:
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+        for proc in procs:
+            proc.terminate()  # it has reported already, or must not outlive the run
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
+def _merge(config: SolverConfig, events: List[dict], results: List[SolverResult],
+           interrupted: bool = False) -> SolverResult:
     best = BestTriple()
-    stats = RunStats()
-    events: List[dict] = []
+    stats = RunStats(interrupted=interrupted)
     for r in results:
         for attr in ("shorter", "target", "longer"):
             cand = getattr(r.best, attr)
@@ -386,7 +424,6 @@ def _merge(config: SolverConfig, results: List[SolverResult]) -> SolverResult:
             "probes": r.stats.probes,
             "elapsed": r.stats.elapsed,
         })
-        events.extend(r.events)
     return SolverResult(config=config, best=best, stats=stats, events=events,
                         metadata=_metadata(config))
 
@@ -395,19 +432,20 @@ def run(config: SolverConfig,
         on_event: Optional[Callable[[dict], None]] = None) -> SolverResult:
     """Execute the restart search described by `config`.
 
-    With one worker the search runs inline and `on_event` fires on every
-    improvement, in a deterministic order for a fixed seed.  With more
-    workers the search fans out to processes and events are delivered
-    after the merge, grouped by worker.
+    `on_event` fires on each improvement as it is found, and the result
+    lists the events in that order: fixed by the seed for one worker,
+    which runs inline; interleaved across workers, in walk order within
+    each, for more.  A Ctrl-C (SIGINT) ends the search with its best so
+    far and `stats.interrupted` set, with any number of workers.
     """
     config.validate()
-    if config.workers == 1:
-        return _merge(config, [_run_worker(config, 0, on_event)])
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        results = list(pool.map(_worker_entry,
-                                [(config, w) for w in range(config.workers)]))
-    merged = _merge(config, results)
-    if on_event is not None:
-        for ev in merged.events:
+    events: List[dict] = []
+
+    def emit(ev: dict) -> None:
+        events.append(ev)
+        if on_event is not None:
             on_event(ev)
-    return merged
+
+    if config.workers == 1:
+        return _merge(config, events, [_consume(config, 0, emit)])
+    return _merge(config, events, *_run_workers(config, emit))

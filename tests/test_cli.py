@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -267,17 +268,22 @@ def test_search_timing_flag_adds_fields():
     assert any("elapsed_ms" in r for r in records)
 
 
-def test_search_interrupt_flushes_and_exits_130():
-    env = dict(os.environ)
+@pytest.mark.parametrize("to_group", [True, False], ids=["group", "parent"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_search_interrupt_flushes_and_exits_130(workers, to_group):
+    """A Ctrl-C at the terminal reaches the whole process group; a SIGINT
+    may also reach the parent alone.  Either way, with one worker or
+    more, the run flushes its best records at once and exits 130."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "labskit.cli", "search", "--n", "61",
          "--partition", "3,2", "--ti", "1000000", "--to", "1000000",
-         "--seed", "1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+         "--seed", "1", "--workers", str(workers)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
     )
     # the run has no end of its own: interrupt it once it has improved at
     # all three lengths, and kill it if that never happens
-    guard = threading.Timer(60, proc.kill)
+    guard = threading.Timer(60, os.killpg, (proc.pid, signal.SIGKILL))
     guard.start()
     try:
         lines, waiting = [], {60, 61, 62}
@@ -289,17 +295,30 @@ def test_search_interrupt_flushes_and_exits_130():
             record = json.loads(line)
             if record.get("kind") == "improvement":
                 waiting.discard(record["target"])
-        proc.send_signal(signal.SIGINT)
-        out, _err = proc.communicate(timeout=60)
+        sent = time.monotonic()
+        if to_group:
+            os.killpg(proc.pid, signal.SIGINT)
+        else:
+            proc.send_signal(signal.SIGINT)
+        # read the rest through the same buffer as readline: communicate()
+        # would read the pipe directly and skip what that buffer holds
+        out = proc.stdout.read()
+        proc.wait(timeout=60)
+        took = time.monotonic() - sent
+        err = proc.stderr.read()
     finally:
         guard.cancel()
-    assert not waiting
+        proc.stdout.close()
+        proc.stderr.close()
+    assert "Traceback" not in err
+    assert not waiting  # the improvements streamed live, before the signal
     assert proc.returncode == 130
+    assert took < 1.0
     records = [json.loads(l) for l in lines + out.splitlines() if l.strip()]
     finals = [r for r in records if r.get("kind") == "final"]
     assert len(finals) == 3  # partial best triple flushed
     summary = [r for r in records if r.get("kind") == "summary"]
-    assert summary and summary[0]["interrupted"]
+    assert summary and summary[0]["interrupted"] is True
 
 
 def test_search_length_above_cap_is_refused_at_once():

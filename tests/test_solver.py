@@ -1,5 +1,8 @@
 import math
+import multiprocessing
+import os
 import random
+import signal
 import time
 from fractions import Fraction
 
@@ -228,6 +231,7 @@ def test_parallel_workers_merge(workers):
     cfg = SolverConfig(n=21, partition=(2, 1), t_inner=200, t_outer=4, seed=5,
                        workers=workers)
     result = run(cfg)
+    assert multiprocessing.active_children() == []
     assert len(result.stats.per_worker) == workers
     for counter in ("restarts", "flips", "probes"):
         assert sum(w[counter] for w in result.stats.per_worker) == \
@@ -238,6 +242,42 @@ def test_parallel_workers_merge(workers):
                               seed=5, workers=1))
     # worker 0 of the pool matches the single-worker stream
     assert [e for e in result.events if e["worker"] == 0] == single.events
+
+
+def _first_worker_fails(monkeypatch, fail):
+    """Make the first worker to start a restart call `fail`; the others
+    walk on until stopped.  Workers are forked, so they see the patch."""
+    first = multiprocessing.Lock()
+
+    def member(*args):
+        if first.acquire(block=False):
+            fail()
+        return sample_member(*args)
+
+    monkeypatch.setattr("labskit.solver.sample_member", member)
+    return SolverConfig(n=61, partition=(3, 2), t_inner=10**6, t_outer=10**6,
+                        seed=1, workers=2, time_limit=60.0)
+
+
+def test_worker_exception_is_raised_in_the_parent(monkeypatch):
+    def fail():
+        raise ValueError("member failed")
+
+    cfg = _first_worker_fails(monkeypatch, fail)
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="member failed"):
+        run(cfg)
+    assert time.monotonic() - t0 < 30  # not after the other worker's budget
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_killed_without_reporting_raises(monkeypatch):
+    cfg = _first_worker_fails(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="exited without reporting"):
+        run(cfg)
+    assert time.monotonic() - t0 < 30
+    assert multiprocessing.active_children() == []
 
 
 def test_metadata_records_reproducibility_inputs():
