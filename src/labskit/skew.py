@@ -225,29 +225,23 @@ class SkewSearchState:
         t *= (1 if q == l else 2) * self.e[q]
         return t
 
-    def flip_deltas(self, qs) -> np.ndarray:
-        """E(after flip at q) - E(now) for every q in `qs`, exact, without mutating.
+    def flip_deltas(self) -> np.ndarray:
+        """E(after flip at q) - E(now) for every q = 0..l, exact, without
+        mutating, as a fresh int64 array.
 
         Scores all l+1 positions at once by the correlation form of the
         module docstring, from the maintained rows P and A' (built on the
-        first call), and returns the entries `qs` asks for.
+        first call).
         """
-        qs = np.asarray(qs, dtype=np.int64)
-        if not qs.shape[0]:
-            return np.empty(0, dtype=np.int64)
-        lo, hi = int(qs.min()), int(qs.max())
-        if lo < 0 or hi > self.l:
-            bad = lo if lo < 0 else hi
-            raise DomainError(f"flip index {bad} out of range [0, {self.l}]")
         n, l = self.n, self.l
         if not l:  # n = 1: no shifts to correlate, and its one flip keeps E = 0
-            return np.zeros(qs.shape[0], dtype=np.int64)
+            return np.zeros(1, dtype=np.int64)
         if self._weights is None:
             self._build_rows()
         block = self._block
         block[1] = self._c_mirror[0:n:2]  # C_m at the mirror shift m = n-1-2q
         block[3] = self._padded[0 : 3 * l + 1 : 3]  # b_{q-m}, 0 below the sequence
-        return np.einsum("ij,ij->j", self._weights, block).astype(np.int64)[qs]
+        return np.einsum("ij,ij->j", self._weights, block).astype(np.int64)
 
     def _build_rows(self) -> None:
         """Build P, A' and K from scratch and start keeping them in step."""

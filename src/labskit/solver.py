@@ -1,26 +1,20 @@
 """Restart local search over partition-restricted skew-symmetric classes.
 
 One run searches the class fixed by a partition projection: the first
-k and last k elements stay pinned, moves flip one free half position
-q in [k, l] (pairing with n-1-q to preserve skew-symmetry), each with
-an O(n) incremental energy delta.  Per restart the search keeps a
-visited hash set and walks to the best unvisited neighbor (optionally
-only strictly improving ones) until the neighborhood is exhausted or
-the inner move budget runs out.  One step reads the energy change of
-every free position from rows the state keeps in step with each flip
-(`SkewSearchState.flip_deltas`; O(n) per step, the rows built once per
-restart) and takes the first unvisited one in (energy change, index)
-order: the `argmin` of the changes, retried a few times with each
-visited entry masked, and a stable sort of the rest only after those
-tries (`pick_better_neighbor`).  Whenever the current merit factor
-clears the activation threshold, the four adjacent pseudo-skew
-candidates of lengths n-1 and n+1 (the eta edits `pseudo.PROBE_EDITS`)
-are probed through their closed-form deltas, so one run maintains best
-candidates at three lengths at once.  At a fixed length a higher merit
-factor is a lower energy, so the walk compares integer energies and
-builds a `Fraction` only for an improvement it reports; the activation
-threshold becomes an energy bound computed once per run
-(`activation_energy_bound`).
+k and last k elements stay pinned, and moves flip one free half
+position q in [k, l] (pairing with n-1-q to preserve skew-symmetry).
+Per restart the search keeps a visited hash set and walks to the best
+unvisited neighbor (optionally only strictly improving ones) until the
+neighborhood is exhausted or the inner move budget runs out.  A step
+scores every position in O(n) (`SkewSearchState.flip_deltas`) and picks
+by `argmin`, masking visited entries (`pick_better_neighbor`).  Once a
+state clears the activation threshold, its four adjacent pseudo-skew
+candidates of lengths n-1 and n+1 (`pseudo.PROBE_EDITS`) are probed
+through closed-form deltas, so one run keeps best candidates at three
+lengths.  At a fixed length a higher merit factor is a lower energy, so
+the walk compares integer energies against a bound computed once per
+run (`activation_energy_bound`) and builds a `Fraction` only for an
+improvement it reports.
 
 `walk` yields the improvements and one consumer turns them into best
 records and events, inline for one worker and in each process for
@@ -175,50 +169,30 @@ class SolverResult:
     metadata: dict = field(default_factory=dict)
 
 
-#: argmin tries of the pick before it falls back to a stable sort
-_ARGMIN_TRIES = 3
 #: the value a tried delta is masked with; every real delta is below it
 _MASKED = np.iinfo(np.int64).max
 
 
-def _stable_order(deltas: np.ndarray):
-    """Indices of `deltas` in (delta, index) order.
-
-    The first few come from `argmin`, which returns the first minimum;
-    each is masked in place once its consumer resumes the generator, so
-    the next `argmin` finds the entry after it.  The rest come from a
-    stable sort of the masked array, which lists the tried indices again,
-    last.
-    """
-    for _ in range(min(_ARGMIN_TRIES, deltas.shape[0])):
-        i = int(deltas.argmin())
-        yield i
-        deltas[i] = _MASKED
-    yield from np.argsort(deltas, kind="stable").tolist()
-
-
 def pick_better_neighbor(state: SkewSearchState, visited: set, policy: str,
-                         indices: Optional[Sequence[int]] = None) -> Optional[int]:
-    """Index of the best unvisited single-flip neighbor, or None.
+                         first: int = 0) -> Optional[int]:
+    """Index q in [`first`, l] of the best unvisited single-flip neighbor,
+    or None.
 
     Under strict-descent only neighbors with lower energy qualify; under
     self-avoiding-best the best unvisited neighbor wins regardless.
-    Ties break to the smallest index (the first in `indices`).  The pick
-    tests the `argmin` of the energy changes; while that neighbor is in
-    `visited`, it masks the entry and takes the `argmin` again, up to
-    `_ARGMIN_TRIES` times, and then walks a stable sort of the rest
-    (`_stable_order`).  Either way it stops at the first neighbor not
-    in `visited`.
+    Ties break to the smallest index.  The pick takes the `argmin` of the
+    energy changes and, while that neighbor is in `visited`, masks its
+    entry and takes the `argmin` again.
     """
-    qs = np.arange(state.l + 1) if indices is None else np.asarray(indices)
-    deltas = state.flip_deltas(qs)  # a fresh array, so the masking is private
-    for i in _stable_order(deltas):
-        q = int(qs[i])
-        if hash_half_bits(state.half_bits ^ (1 << q), state.l + 1) in visited:
-            continue
-        if policy == POLICY_STRICT_DESCENT and deltas[i] >= 0:
-            return None
-        return q
+    if not 0 <= first <= state.l + 1:
+        raise DomainError(f"first flip index {first} out of range [0, {state.l + 1}]")
+    deltas = state.flip_deltas()[first:]  # a fresh array, so the masking is private
+    for _ in range(deltas.shape[0]):
+        i = int(deltas.argmin())
+        q = first + i
+        if hash_half_bits(state.half_bits ^ (1 << q), state.l + 1) not in visited:
+            return None if policy == POLICY_STRICT_DESCENT and deltas[i] >= 0 else q
+        deltas[i] = _MASKED
     return None
 
 
@@ -272,7 +246,6 @@ def walk(config: SolverConfig, worker_id: int, stats: RunStats, stop=None):
     per pass, before the pick, whose first call on a restart builds the
     scan's rows in O(n^2)."""
     n = config.n
-    free = np.arange(config.order, n // 2 + 1)
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=(config.seed & _M64, worker_id)))
     activate_energy = activation_energy_bound(n, config.t_activate)
@@ -292,7 +265,7 @@ def walk(config: SolverConfig, worker_id: int, stats: RunStats, stop=None):
             visited = {hash_state(state)}
             w_i = 0
         else:
-            q = pick_better_neighbor(state, visited, config.policy, free)
+            q = pick_better_neighbor(state, visited, config.policy, config.order)
             if q is None:
                 restart = True
                 continue
@@ -359,8 +332,8 @@ def _run_workers(config: SolverConfig,
     """One walk per process, each event passed to `emit` as it arrives.
     A SIGINT sets the shared stop; the workers then report as usual.
     Returns the results in worker order and whether a SIGINT came.  A
-    worker's exception, or its exit without a report, is raised here,
-    and no worker outlives the call."""
+    worker's exception is raised here, and its exit without a report as
+    ChildProcessError; no worker outlives the call."""
     stop = mp.RawValue("b", 0)  # lock-free: a handler may run inside any call
     conns, procs, results = {}, [], {}  # conns: reader -> worker id
 
@@ -384,8 +357,8 @@ def _run_workers(config: SolverConfig,
                 try:
                     msg = conn.recv()
                 except EOFError:
-                    raise RuntimeError(f"worker {conns[conn]} exited "
-                                       "without reporting") from None
+                    raise ChildProcessError(f"worker {conns[conn]} exited "
+                                            "without reporting") from None
                 if isinstance(msg, SolverResult):
                     results[conns[conn]] = msg
                 elif isinstance(msg, BaseException):

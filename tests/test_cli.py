@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from labskit.cli import main
 from labskit.core import merit_factor
+from labskit.partitions import sample_member
 from labskit.records import decode_hex
 
 
@@ -331,6 +333,27 @@ def test_search_length_above_cap_is_refused_at_once():
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
     assert "exceeds hard cap" in out.stderr
     assert out.stdout == ""
+
+
+def test_search_lost_worker_is_one_error_line_and_exit_4(capsys, monkeypatch):
+    """The first worker to start a restart SIGKILLs itself; workers are
+    forked, so they see the patch.  The other walks until stopped."""
+    first = multiprocessing.Lock()
+
+    def member(*args):
+        if first.acquire(block=False):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return sample_member(*args)
+
+    monkeypatch.setattr("labskit.solver.sample_member", member)
+    code = main(["search", "--n", "61", "--partition", "3,2", "--workers", "2",
+                 "--budget", "60s", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.startswith("error: worker ") and captured.err.count("\n") == 1
+    assert "exited without reporting" in captured.err
+    assert "Traceback" not in captured.err
+    assert multiprocessing.active_children() == []
 
 
 def test_env_overrides_workers():

@@ -87,6 +87,12 @@ def test_pick_better_neighbor_contracts():
     q3 = pick_better_neighbor(st, set(), POLICY_STRICT_DESCENT)
     if q3 is not None:
         assert st.flip_delta(q3) < 0
+    # `first` runs over 0..l+1; at l+1 no position is free
+    for policy in (POLICY_SELF_AVOIDING, POLICY_STRICT_DESCENT):
+        assert pick_better_neighbor(st, set(), policy, st.l + 1) is None
+        for first in (-1, st.l + 2):
+            with pytest.raises(DomainError, match="out of range"):
+                pick_better_neighbor(st, set(), policy, first)
 
 
 def test_strict_descent_energy_decreases():
@@ -95,8 +101,7 @@ def test_strict_descent_energy_decreases():
     visited = {hash_state(st)}
     prev = st.energy
     while True:
-        q = pick_better_neighbor(st, visited, POLICY_STRICT_DESCENT,
-                                 range(3, st.l + 1))
+        q = pick_better_neighbor(st, visited, POLICY_STRICT_DESCENT, 3)
         if q is None:
             break
         st.apply_flip(q)
@@ -274,7 +279,7 @@ def test_worker_exception_is_raised_in_the_parent(monkeypatch):
 def test_worker_killed_without_reporting_raises(monkeypatch):
     cfg = _first_worker_fails(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
     t0 = time.monotonic()
-    with pytest.raises(RuntimeError, match="exited without reporting"):
+    with pytest.raises(ChildProcessError, match="exited without reporting"):
         run(cfg)
     assert time.monotonic() - t0 < 30
     assert multiprocessing.active_children() == []

@@ -6,8 +6,8 @@ tools of a source tree.
 
 Measures, single-threaded:
 
-* `SkewSearchState.flip_deltas` per call over the free range q = 12..l
-  (the range of a (6,3,3) search), on a seeded random state, at
+* `SkewSearchState.flip_deltas` per call, as the walk of a (6,3,3)
+  search calls it (free range q = 12..l), on a seeded random state, at
   n in SCAN_LENGTHS;
 * one walk step, that scan plus an `apply_flip` at the next of a seeded
   cycle of free positions, at n in SCAN_LENGTHS.  A tree that keeps the
@@ -31,7 +31,11 @@ Measures, single-threaded:
 
 Each number is the median of REPEATS repeats.  The result is stored under
 `--label` in the JSON file `--out` (default BENCH_scan.json at the root
-of the repository); other labels already in that file are kept.
+of the repository); other labels already in that file are kept.  Each
+label also stores `perfbench/calibrate.reference_burst()` (seconds per
+run of a fixed numpy kernel that does not use labskit), read before and
+after its timings: when two labels' bursts differ, the host's speed
+moved between them, and their times compare only after scaling by it.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import inspect  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
@@ -93,36 +98,48 @@ def seeded_state(n: int):
     return SkewSearchState(SkewHalf(tuple(int(x) for x in rng.choice((-1, 1), n // 2 + 1))))
 
 
-def time_scan(n: int) -> dict:
+def walk_scan(state) -> tuple:
+    """The walk's neighbour scan of `state` as a call without arguments,
+    and the free range q = 12..l as the walk passes it to the pick: its
+    first position, or, in trees whose `flip_deltas` takes the positions
+    to score, an array of them, which the scan is then passed too."""
     import numpy as np
 
-    state = seeded_state(n)
-    free = np.arange(sum(PARTITION), state.l + 1)
-    return {"n": n, **per_call_us(lambda: state.flip_deltas(free))}
+    first = sum(PARTITION)
+    if not inspect.signature(state.flip_deltas).parameters:
+        return state.flip_deltas, first
+    free = np.arange(first, state.l + 1)
+    return (lambda: state.flip_deltas(free)), free
+
+
+def time_scan(n: int) -> dict:
+    scan, _ = walk_scan(seeded_state(n))
+    return {"n": n, **per_call_us(scan)}
 
 
 def time_step(n: int) -> dict:
     import numpy as np
 
     state = seeded_state(n)
+    scan, _ = walk_scan(state)
     free = np.arange(sum(PARTITION), state.l + 1)
     flips = itertools.cycle(np.random.default_rng(n).choice(free, 1000).tolist())
 
     def step():
-        state.flip_deltas(free)
+        scan()
         state.apply_flip(next(flips))
 
     return {"n": n, **per_call_us(step)}
 
 
 def time_layers(n: int) -> dict:
-    import numpy as np
     from labskit import pseudo
     from labskit.solver import POLICY_SELF_AVOIDING, hash_state, pick_better_neighbor
 
     state = seeded_state(n)
     q = state.l // 2
-    state.flip_deltas([q])  # as in a walk, where every flip follows a scan
+    scan, free = walk_scan(state)
+    scan()  # as in a walk, where every flip follows a scan
 
     def flip_and_undo():
         state.apply_flip(q)
@@ -134,7 +151,6 @@ def time_layers(n: int) -> dict:
     row = {"n": n, "apply_flip": per_call_us(flip_and_undo, per=2),
            "probe_energies": per_call_us(lambda: pseudo.probe_energies(*args))}
     # one walk step first, so that the neighbour back through it is visited
-    free = np.arange(sum(PARTITION), state.l + 1)
     visited = {hash_state(state)}
     state.apply_flip(pick_better_neighbor(state, visited, POLICY_SELF_AVOIDING, free))
     visited.add(hash_state(state))
@@ -194,8 +210,11 @@ def main(argv=None) -> int:
     ap.add_argument("--out", default=str(ROOT / "BENCH_scan.json"))
     args = ap.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
+    sys.path.insert(1, str(ROOT))
     import numpy as np
+    from perfbench.calibrate import reference_burst
 
+    burst_before = reference_burst()
     entry = {
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "machine": platform.machine(), "cpus": os.cpu_count(),
@@ -209,10 +228,13 @@ def main(argv=None) -> int:
         "run": [time_run(n) for n in RUN_BUDGETS],
         "exact": time_exact(),
     }
+    burst = entry["reference_burst_s"] = {"before": burst_before, "after": reference_burst()}
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data[args.label] = entry
     out.write_text(json.dumps(data, indent=1) + "\n")
+    print(f"reference burst: {burst['before'] * 1e3:.3f} ms before, "
+          f"{burst['after'] * 1e3:.3f} ms after")
     for row in entry["scan"]:
         print(f"scan n={row['n']}: {row['median_us']:.1f} us/call")
     for row in entry["step"]:
