@@ -29,7 +29,7 @@ b_p*b_{p+u} = b_{q-u}*b_q, so the four products fold into
 on a zero-padded sequence, minus the term pairing q with p itself
 (u = n-1-2q, both endpoints flipped, hence unchanged).  The center q = l
 flips a single bit and takes the factor f_q = 1 instead of 2.
-`apply_flip` and `flip_delta` sum that one row of T_u.
+`flip_delta` sums that one row of T_u.
 
 `flip_deltas` scores every neighbour of a walk step at once by
 expanding the square instead (b_q^2 = 1):
@@ -40,33 +40,55 @@ expanding the square instead (b_q^2 = 1):
            = #{in-range b_{q+u}, b_{q-u}} + 2 * sum_u b_{q+u}*b_{q-u}.
 
 Summed over every lag v, negative ones and 0 included (the odd ones
-vanish), both come from two rows the state keeps:
+vanish), both come from two rows:
 
     P_q  = sum_{j = q mod 2} b_j * b_{2q-j} = 1 + 2 * sum_u b_{q+u}*b_{q-u},
     A'_q = sum_v C_v * b_{q+v}              = A_q + n * b_q.
 
 For q < l the mirror term at u = n-1-2q comes off both: S_q loses
 1 + 2*b_{q-u}*b_p (b_{q-u} = 0 below the sequence) and A_q loses
-b_p*C_u; `_scan_weights` has the resulting weights of P, A' and C_u.
+b_p*C_u; `_scan_weights` has the resulting weights.
 
-`_scan_rows` builds P and A' from scratch, from the self-convolution
-of each parity class and a correlation with C, together with the full
-self-convolution K_s = sum_j b_j*b_{s-j}.  The first `flip_deltas` call
-builds them; from then on `apply_flip` keeps them in step.  With F the
-flipped positions ({q, n-1-q}, or {l} at the centre), D_f = -2*b_f, b
-and K before the flip, C before it and C' after it:
+The state keeps A' and the full self-convolution K_i = sum_j b_j*b_{i-j};
+P and the change of C in a flip follow from K.  Lay C out by i = v+n-1
+(the mirror layout, lags v = -(n-1)..n-1, C_{-v} = C_v) and split K by
+the parity of j, K = K^0 + K^1; at even i both factors of a product share
+that parity.  The skew rule b_{n-1-k} = (-1)^(l-k) * b_k gives, at even i,
 
+    C_i = sum_j b_j * b_{n-1-(i-j)} = (-1)^l * sum_j (-1)^j * b_j*b_{i-j}
+        = (-1)^l * (K^0_i - K^1_i).
+
+(1) A flip moves elements of one parity r = q mod 2 only (p = n-1-q has
+    q's parity), so only K^r changes, and at even i
+
+        dC_i = (-1)^(l+r) * dK_i = s * dK_i,   s = (-1)^(l-q) = b_q*b_p,
+
+    with s = 1 at the centre; C stays 0 at the odd i.
+(2) P_q is K^r at i = 2q, where C sits at the lag 2q-(n-1) = -m, so
+
+        P_q = (K_{2q} + (-1)^(l+r) * C_{2q}) / 2 = (K_{2q} + (-1)^(l-q) * C_m) / 2
+
+    for every q, the centre included.
+
+`_scan_rows` builds A' and K from scratch, from a correlation of each
+parity class with C and one self-convolution.  The first `flip_deltas`
+call builds them; from then on `apply_flip` keeps them in step.  Each
+scan copies K_{2q} and C_m into its block of rows, and `_scan_weights`
+folds P's 1/2 and C_m term into their weights.  With F the flipped
+positions ({q, n-1-q}, or {l} at the centre), D_f = -2*b_f, b and K
+before the flip, C before it and C' after it:
+
+    dK_i  = sum_{f in F} 2*D_f * b_{i-f} + sum_{f+g = i} D_f*D_g,
+    dC_i  = s * dK_i at even i, by (1),
+    E'-E  = sum_{u > 0} dC_u * (2*C_u + dC_u),
     dA'_q = sum_{f in F} D_f * (C_{q-f} + C'_{q-f} + K_{q+f})
-            + sum_{f, g in F} D_f*D_g * b_{q+g-f},
-    dK_s  = sum_{f in F} 2*D_f * b_{s-f} + sum_{f+g = s} D_f*D_g,
-    dP_q  = dK_{2q} for q of the parity of F (both flipped positions
-            share it), 0 for the other parity.
+            + sum_{f, g in F} D_f*D_g * b_{q+g-f}.
 
-The ten windows of dA' are gathered from the one state buffer and summed
-by one matrix-vector product (`_row_starts`), dK is two slices, and dP
-a strided slice of dK, so a walk step does no O(n^2) work.  A state
-that is never scanned, such as a fresh state read only for its probes,
-never builds the rows.
+dK is two windows of b and three point terms, dC one strided product of
+it, and the ten windows of dA' are gathered from the one state buffer and
+summed by one matrix-vector product (`_row_starts`), so a walk step does
+no O(n^2) work.  A state that is never scanned, such as a fresh state
+read only for its probes, never builds the rows.
 
 The state is one float64 buffer: elements, correlations, the rows and
 every per-flip sum above are integers of magnitude at most about n^2
@@ -162,10 +184,12 @@ class SkewSearchState:
     energy, all updated in O(n) per flip.  `e` is a view into the
     sequence zero-padded by n-1 on both sides, and `c` is the right half
     of the correlations at every lag -(n-1)..n-1, which the neighbour
-    scan reads mirrored.  From the first `flip_deltas` call on, the
-    state also keeps the scan's rows P, A' and the self-convolution K in
-    step with every flip (module docstring).  Every array is a view into
-    one float64 buffer of exact integers; the energy is a Python int.
+    scan reads mirrored.  Each flip computes the change of K and takes
+    C's change (kept in `_dc`) from it.  From the first `flip_deltas` call
+    on, the state also keeps the scan's row A' and the self-convolution K
+    in step with every flip, and each scan reads P from K and C (module
+    docstring).  Every array is a view into one float64 buffer of exact
+    integers; the energy is a Python int.
     """
 
     __slots__ = ("n", "l", "e", "c", "energy", "half_bits", "_padded", "_c_mirror", "_dc",
@@ -177,7 +201,7 @@ class SkewSearchState:
         c_at, _, _, block_at = _offsets(n)
         # one buffer: the padded elements, C at the lags -(n-1)..n-1, the
         # change of C in the last flip, K, and the scan block of rows
-        # P, C_m, A', b_{q-m} and ones.  Past C it stays untouched (and,
+        # K_{2q}, C_m, A', b_{q-m} and ones.  Past C it stays untouched (and,
         # when large, unmapped) until the first scan
         x = np.zeros(block_at + 5 * (l + 1))
         self._padded = x[:c_at]
@@ -230,8 +254,8 @@ class SkewSearchState:
         mutating, as a fresh int64 array.
 
         Scores all l+1 positions at once by the correlation form of the
-        module docstring, from the maintained rows P and A' (built on the
-        first call).
+        module docstring, from the maintained rows K and A' (built on the
+        first call) and C.
         """
         n, l = self.n, self.l
         if not l:  # n = 1: no shifts to correlate, and its one flip keeps E = 0
@@ -239,15 +263,16 @@ class SkewSearchState:
         if self._weights is None:
             self._build_rows()
         block = self._block
+        block[0] = self._k[0 : n : 2]  # K_{2q}
         block[1] = self._c_mirror[0:n:2]  # C_m at the mirror shift m = n-1-2q
         block[3] = self._padded[0 : 3 * l + 1 : 3]  # b_{q-m}, 0 below the sequence
         return np.einsum("ij,ij->j", self._weights, block).astype(np.int64)
 
     def _build_rows(self) -> None:
-        """Build P, A' and K from scratch and start keeping them in step."""
+        """Build A' and K from scratch and start keeping them in step."""
         n, l = self.n, self.l
         block = self._block
-        block[0], block[2], self._k[:] = _scan_rows(self._padded, self._c_mirror)
+        block[2], self._k[:] = _scan_rows(self._padded, self._c_mirror)
         block[4] = 1
         self._weights = _scan_weights(n).copy()
         self._weights[2:4] *= self.e[: l + 1]
@@ -262,43 +287,38 @@ class SkewSearchState:
 
     def apply_flip(self, q: int) -> None:
         """Flip position q (pairing with n-1-q for q < l), in place."""
-        t = self._terms(q)
-        n, dc = self.n, self._dc
-        self.energy += int(4 * np.dot(t, t - self.c[2::2]))
-        t *= -2
-        dc[n + 1 :: 2] = t  # C_u' - C_u at the even shifts u > 0
-        dc[n - 3 :: -2] = t  # the same shifts on the negative lags
+        n, l = self.n, self.l
+        if not 0 <= q <= l:
+            raise DomainError(f"flip index {q} out of range [0, {l}]")
+        b = self.e[q]
+        s = 1 - 2 * ((l - q) & 1)  # b_p = s*b_q by the skew rule; 1 at the centre
+        padded, dc = self._padded, self._dc
+        # K_i changes by 2*D_q*b_{i-q} + 2*D_p*b_{i-p} = -4*b_q*(b_{i-q} + s*b_{i-p})
+        dk = padded[n - 1 - q : 3 * n - 2 - q]
+        if q < l:
+            dk = (np.add if s > 0 else np.subtract)(dk, padded[q : q + 2 * n - 1])
+        dk = dk * (-4 * b)
+        dk[2 * q] += 4  # and by D_f*D_g where f+g = i
+        if q < l:
+            dk[4 * l - 2 * q] += 4
+            dk[2 * l] += 8 * s
+        np.multiply(dk[::2], s, out=dc[::2])  # C's change at the even lags; odd ones stay 0
+        dcp = dc[n + 1 :: 2]
+        self.energy += int(np.dot(dcp, 2 * self.c[2::2] + dcp))
         if self._weights is not None:
-            self._update_rows(q)
+            # A' from C, dC, K and b before the flip, then K
+            np.dot(_ROW_COEFS[int(b), s * (q < l)], self._window[_row_starts(n)[q]],
+                   out=self._block[2])
+            self._k += dk
+            w = self._weights
+            w[2, q] = -w[2, q]
+            w[3, q] = -w[3, q]
         self._c_mirror += dc
-        for i in ((q,) if q == self.l else (q, n - 1 - q)):
+        for i in ((q,) if q == l else (q, n - 1 - q)):
             self.e[i] = -self.e[i]
         self.half_bits ^= 1 << q
         if DEBUG_VERIFY:
             self._verify()
-
-    def _update_rows(self, q: int) -> None:
-        """Step P, A' and K through the flip at q; reads b, C and K before
-        the flip, and the change of C already in `_dc`."""
-        n, l = self.n, self.l
-        b = self.e[q]
-        s = 0 if q == l else 1 - 2 * ((l - q) & 1)  # b_p = s*b_q, none at the centre
-        block, padded = self._block, self._padded
-        np.dot(_ROW_COEFS[int(b), s], self._window[_row_starts(n)[q]], out=block[2])
-        # K_s changes by 2*D_f*b_{s-f} + 2*D_p*b_{s-p} = -4*b_q*(b_{s-q} + s*b_{s-p})
-        dk = padded[n - 1 - q : 3 * n - 2 - q]
-        if s:
-            dk = (np.add if s > 0 else np.subtract)(dk, padded[q : q + 2 * n - 1])
-        dk = dk * (-4 * b)
-        dk[2 * q] += 4  # and by D_f*D_g where f+g = s
-        if s:
-            dk[4 * l - 2 * q] += 4
-            dk[2 * l] += 8 * s
-        self._k += dk
-        block[0, q & 1 :: 2] += dk[2 * (q & 1) : 2 * l + 1 : 4]
-        w = self._weights
-        w[2, q] = -w[2, q]
-        w[3, q] = -w[3, q]
 
     def _verify(self) -> None:
         corr = np.correlate(self.e, self.e, mode="full")
@@ -307,9 +327,8 @@ class SkewSearchState:
         if self.energy != _energy(corr[self.n - 1 :]):
             raise AssertionError("incremental energy diverged from recompute")
         if self._weights is not None:
-            p, a, k = _scan_rows(self._padded, self._c_mirror)
-            if not (np.array_equal(p, self._block[0]) and np.array_equal(a, self._block[2])
-                    and np.array_equal(k, self._k)):
+            a, k = _scan_rows(self._padded, self._c_mirror)
+            if not (np.array_equal(a, self._block[2]) and np.array_equal(k, self._k)):
                 raise AssertionError("maintained scan rows diverged from rebuild")
 
 
@@ -325,41 +344,41 @@ def _energy(c: np.ndarray) -> int:
 
 
 def _scan_rows(padded: np.ndarray, c_mirror: np.ndarray) -> tuple:
-    """P, A' and K of the module docstring, from scratch: P_q from the
-    self-convolution of q's parity class at 2q, A'_q from a correlation
-    of that class with C over the even lags, and K in full."""
+    """A' and K of the module docstring, from scratch: A'_q from a
+    correlation of q's parity class with C over the even lags, and K in
+    full."""
     n = c_mirror.shape[0] // 2 + 1
     l = n // 2
-    e = padded[n - 1 : 2 * n - 1]
-    p, a = np.empty(l + 1), np.empty(l + 1)
+    a = np.empty(l + 1)
     lags = c_mirror[0::2]  # C_|v| at the even lags v = -(n-1)..n-1, C_0 = n included
     for r in (0, 1):
         m = (l + 2 - r) // 2  # the q = r, r+2, .. <= l
-        p[r::2] = np.convolve(e[r::2], e[r::2])[: 2 * m : 2]
         a[r::2] = np.correlate(padded[r::2][: m + 2 * l], lags, "valid")
-    return p, a, np.convolve(e, e)
+    e = padded[n - 1 : 2 * n - 1]
+    return a, np.convolve(e, e)
 
 
 @functools.lru_cache(maxsize=16)
 def _scan_weights(n: int) -> np.ndarray:
-    """The weights of the scan block's rows P, C_m, A', b_{q-m} and 1 at
-    length n, before the b_q factor of rows 2 and 3.
+    """The weights of the scan block's rows K_{2q}, C_m, A', b_{q-m} and 1
+    at length n, before the b_q factor of rows 2 and 3.
 
-    With m = n-1-2q the mirror shift, s_q = b_q*b_p = (-1)^(l-q) by the
-    skew rule (0 at the centre), P_q = sum_j b_j*b_{2q-j} over j of q's
-    parity and A'_q = sum_v C_|v|*b_{q+v} over every even lag v, 0
-    included, the module docstring's energy change is
+    With m = n-1-2q the mirror shift, t_q = (-1)^(l-q), s_q = b_q*b_p =
+    t_q by the skew rule (0 at the centre, which has no partner),
+    P_q = (K_{2q} + t_q*C_m)/2 and A'_q = sum_v C_|v|*b_{q+v} over every
+    even lag v, 0 included, the module docstring's energy change is
 
-        4f^2*P_q + 4f*s_q*C_m - 4f*b_q*A'_q - 8f^2*s_q*b_q*b_{q-m}
-        + 4f^2*(in-range count - 1 - [q < l]) + 4f*n.
+        2f^2*K_{2q} + (4f*s_q + 2f^2*t_q)*C_m - 4f*b_q*A'_q
+        - 8f^2*s_q*b_q*b_{q-m} + 4f^2*(in-range count - 1 - [q < l]) + 4f*n.
     """
     l = n // 2
     q = np.arange(l + 1)
     f = np.where(q == l, 1, 2)
     paired = q < l
-    sign = np.where((l - q) % 2, -1, 1) * paired  # b_q * b_p by the skew rule
+    t = np.where((l - q) % 2, -1, 1)
+    sign = t * paired  # b_q * b_p by the skew rule
     in_range = (n - 1 - q) // 2 + q // 2  # even u with b_{q+u} or b_{q-u} in range
-    weights = np.stack((4 * f * f, 4 * f * sign, -4 * f, -8 * f * f * sign,
+    weights = np.stack((2 * f * f, 4 * f * sign + 2 * f * f * t, -4 * f, -8 * f * f * sign,
                         4 * f * f * (in_range - 1 - paired) + 4 * f * n)).astype(np.float64)
     weights.setflags(write=False)
     return weights

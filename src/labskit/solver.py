@@ -277,7 +277,7 @@ def walk(config: SolverConfig, worker_id: int, stats: RunStats, stop=None):
         # activation bound, its four adjacent-length probes
         probing = w_i and state.energy <= activate_energy
         if probing:
-            stats.probes += 4
+            stats.probes += len(PROBE_EDITS)
             energies = probe_energies(state.c, state.e, state.energy)[1]
         base = None
         for length, op in candidates if probing else candidates[:1]:

@@ -5,6 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies
 
 from labskit import skew
 from labskit.core import BinarySequence, energy, sidelobes
@@ -142,10 +143,13 @@ def test_state_sidelobes_stay_consistent():
 
 def test_flip_index_range():
     st = SkewSearchState(SkewHalf((1, 1, -1)))
+    before = (st.energy, st.sequence(), st.half_bits)
     with pytest.raises(DomainError):
         st.flip_delta(3)
-    with pytest.raises(DomainError):
-        st.apply_flip(-1)
+    for q in (-1, 3):  # a refused flip leaves the state as it was
+        with pytest.raises(DomainError):
+            st.apply_flip(q)
+    assert (st.energy, st.sequence(), st.half_bits) == before
 
 
 def test_sequence_packs_the_elements():
@@ -204,15 +208,62 @@ def test_debug_verify_walk_checks_correlations(monkeypatch):
     st._c_mirror[1] += 2  # a maintained correlation off by an update
     with pytest.raises(AssertionError, match="correlations diverged"):
         st.apply_flip(3)
-    # a maintained scan row off by an update: K, P or A'
-    for corrupt in (lambda st: st._k[7:8], lambda st: st._block[0, 4:5],
-                    lambda st: st._block[2, 9:10]):
+    # a maintained scan row off by an update: K or A'
+    for corrupt in (lambda st: st._k[7:8], lambda st: st._block[2, 9:10]):
         st = SkewSearchState(random_half(random.Random(26), 20))
         st.flip_deltas()  # builds the rows; from now on every flip checks them
         st.apply_flip(5)
         corrupt(st)[:] += 2
         with pytest.raises(AssertionError, match="scan rows diverged"):
             st.apply_flip(3)
+
+
+def parity_class_rows(e):
+    """P_q = sum_{j = q mod 2} b_j*b_{2q-j} for q = 0..l, from the
+    self-convolution of each parity class of the sequence `e`."""
+    l = len(e) // 2
+    p = np.empty(l + 1)
+    for r in (0, 1):
+        m = (l + 2 - r) // 2  # the q = r, r+2, .. <= l
+        p[r::2] = np.convolve(e[r::2], e[r::2])[: 2 * m : 2]
+    return p
+
+
+@strategies.composite
+def halves_and_flips(draw):
+    l = draw(strategies.integers(1, 49))  # n = 3..99
+    elements = draw(strategies.lists(strategies.sampled_from((-1, 1)),
+                                     min_size=l + 1, max_size=l + 1))
+    flips = draw(strategies.lists(strategies.integers(0, l), max_size=6))
+    return SkewHalf(tuple(elements)), flips + [l]  # the centre among them
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=halves_and_flips())
+@example(case=(SkewHalf((1, -1, 1)), [0, 1, 2]))  # l even
+@example(case=(SkewHalf((1, 1, -1, -1)), [0, 1, 2, 3]))  # l odd
+def test_c_change_and_p_follow_from_k(case):
+    """After each flip, C's change at every even index of the mirror layout
+    is s = b_q*b_p = (-1)^(l-q) (1 at the centre) times K's change, and 0
+    at the odd ones; and P_q = (K_{2q} + (-1)^(l-q)*C_m)/2 at every state,
+    with C and K recomputed and compared with the ones the state keeps."""
+    half, flips = case
+    l, n = half.l, half.full_length
+    state = SkewSearchState(half)
+    state.flip_deltas()  # from here on the state keeps K in step
+    t = np.where((l - np.arange(l + 1)) % 2, -1, 1)
+    c, k = np.correlate(state.e, state.e, "full"), np.convolve(state.e, state.e)
+    for q in flips:
+        p = (k[0:n:2] + t * c[0:n:2]) / 2  # K_{2q} and C_m at m = n-1-2q
+        np.testing.assert_array_equal(p, parity_class_rows(state.e))
+        state.apply_flip(q)
+        c_new, k_new = np.correlate(state.e, state.e, "full"), np.convolve(state.e, state.e)
+        dc, dk = c_new - c, k_new - k
+        np.testing.assert_array_equal(dc[::2], (-1) ** (l - q) * dk[::2])
+        assert not dc[1::2].any()
+        np.testing.assert_array_equal(state._dc, dc)
+        np.testing.assert_array_equal(state._k, k_new)
+        c, k = c_new, k_new
 
 
 def test_energy_past_float_precision_is_exact(monkeypatch):

@@ -13,6 +13,9 @@ Measures, single-threaded:
   cycle of free positions, at n in SCAN_LENGTHS.  A tree that keeps the
   scan's rows in step with each flip moves cost from the scan into the
   flip, so only the step compares such trees;
+* one restart, a `SkewSearchState` built from a seeded half plus its
+  first scan (which builds the rows a tree keeps), at n in
+  RESTART_LENGTHS;
 * `SkewSearchState.apply_flip` (a flip at q = l // 2 and its undo, per
   flip, on a state scanned once) and `pseudo.probe_energies` (the walk's
   probe entry) per call on the same states, and then
@@ -32,10 +35,10 @@ Measures, single-threaded:
 Each number is the median of REPEATS repeats.  The result is stored under
 `--label` in the JSON file `--out` (default BENCH_scan.json at the root
 of the repository); other labels already in that file are kept.  Each
-label also stores `perfbench/calibrate.reference_burst()` (seconds per
-run of a fixed numpy kernel that does not use labskit), read before and
-after its timings: when two labels' bursts differ, the host's speed
-moved between them, and their times compare only after scaling by it.
+timed row also stores `perfbench/calibrate.reference_burst()` (seconds
+per run of a fixed numpy kernel that does not use labskit), read just
+before and just after that row: the host's speed moves within a label
+too, so two labels' rows compare after scaling each by its own bursts.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCAN_LENGTHS = (101, 201, 401, 1001, 2001)
 LAYER_LENGTHS = (101, 1001)
+RESTART_LENGTHS = (101, 1001, 4001)
 #: n -> (t_inner, t_outer): (t_inner + 1) * (t_outer + 1) flips at most
 RUN_BUDGETS = {101: (2000, 4), 201: (1000, 4), 401: (500, 2), 1001: (200, 1),
                4001: (100, 1)}
@@ -88,6 +92,17 @@ def per_call_us(fn, per: int = 1) -> dict:
         per_call.append((time.perf_counter() - t0) / calls / per)
     return {"median_us": statistics.median(per_call) * 1e6,
             "repeats_us": [t * 1e6 for t in per_call], "calls_per_repeat": calls}
+
+
+def with_bursts(time_row, *args) -> dict:
+    """The row `time_row(*args)` with `reference_burst()` read just before
+    and just after it."""
+    from perfbench.calibrate import reference_burst
+
+    before = reference_burst()
+    row = time_row(*args)
+    row["reference_burst_s"] = {"before": before, "after": reference_burst()}
+    return row
 
 
 def seeded_state(n: int):
@@ -130,6 +145,16 @@ def time_step(n: int) -> dict:
         state.apply_flip(next(flips))
 
     return {"n": n, **per_call_us(step)}
+
+
+def time_restart(n: int) -> dict:
+    from labskit.skew import SkewSearchState
+
+    state = seeded_state(n)
+    half = state.half()
+    _, free = walk_scan(state)
+    args = () if isinstance(free, int) else (free,)
+    return {"n": n, **per_call_us(lambda: SkewSearchState(half).flip_deltas(*args))}
 
 
 def time_layers(n: int) -> dict:
@@ -184,23 +209,23 @@ def time_run(n: int) -> dict:
             "events_sha256": digests.pop()}
 
 
-def time_exact() -> list:
-    from labskit.partitions import best_partition
+def time_exhaustive(n: int, skew_only: bool) -> dict:
     from labskit.skew import exhaustive_best
 
-    rows = []
-    for n, skew_only in EXHAUSTIVE_CALLS:
-        mf, witness = exhaustive_best(n, skew_only=skew_only)
-        rows.append({"call": f"exhaustive_best({n}, skew_only={skew_only})",
-                     "mf": [mf.numerator, mf.denominator], "witness": f"{witness.bits:x}",
-                     **per_call_us(lambda: exhaustive_best(n, skew_only=skew_only))})
+    mf, witness = exhaustive_best(n, skew_only=skew_only)
+    return {"call": f"exhaustive_best({n}, skew_only={skew_only})",
+            "mf": [mf.numerator, mf.denominator], "witness": f"{witness.bits:x}",
+            **per_call_us(lambda: exhaustive_best(n, skew_only=skew_only))}
+
+
+def time_best_partition(objective: str) -> dict:
+    from labskit.partitions import best_partition
+
     k, parts = PARTITION_SCAN
-    for objective in ("U", "Ustar"):
-        report = best_partition(k, parts, objective)
-        rows.append({"call": f"best_partition({k}, {parts}, {objective!r})",
-                     "partition": list(report.partition),
-                     **per_call_us(lambda: best_partition(k, parts, objective))})
-    return rows
+    report = best_partition(k, parts, objective)
+    return {"call": f"best_partition({k}, {parts}, {objective!r})",
+            "partition": list(report.partition),
+            **per_call_us(lambda: best_partition(k, parts, objective))}
 
 
 def main(argv=None) -> int:
@@ -212,9 +237,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     sys.path.insert(1, str(ROOT))
     import numpy as np
-    from perfbench.calibrate import reference_burst
 
-    burst_before = reference_burst()
     entry = {
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "machine": platform.machine(), "cpus": os.cpu_count(),
@@ -222,23 +245,24 @@ def main(argv=None) -> int:
         "partition": list(PARTITION),
         "seed": SEED,
         "repeats": REPEATS,
-        "scan": [time_scan(n) for n in SCAN_LENGTHS],
-        "step": [time_step(n) for n in SCAN_LENGTHS],
-        "layers": [time_layers(n) for n in LAYER_LENGTHS],
-        "run": [time_run(n) for n in RUN_BUDGETS],
-        "exact": time_exact(),
+        "scan": [with_bursts(time_scan, n) for n in SCAN_LENGTHS],
+        "step": [with_bursts(time_step, n) for n in SCAN_LENGTHS],
+        "restart": [with_bursts(time_restart, n) for n in RESTART_LENGTHS],
+        "layers": [with_bursts(time_layers, n) for n in LAYER_LENGTHS],
+        "run": [with_bursts(time_run, n) for n in RUN_BUDGETS],
+        "exact": [with_bursts(time_exhaustive, *call) for call in EXHAUSTIVE_CALLS]
+        + [with_bursts(time_best_partition, objective) for objective in ("U", "Ustar")],
     }
-    burst = entry["reference_burst_s"] = {"before": burst_before, "after": reference_burst()}
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
     data[args.label] = entry
     out.write_text(json.dumps(data, indent=1) + "\n")
-    print(f"reference burst: {burst['before'] * 1e3:.3f} ms before, "
-          f"{burst['after'] * 1e3:.3f} ms after")
     for row in entry["scan"]:
         print(f"scan n={row['n']}: {row['median_us']:.1f} us/call")
     for row in entry["step"]:
         print(f"step n={row['n']}: {row['median_us']:.1f} us/step")
+    for row in entry["restart"]:
+        print(f"restart n={row['n']}: {row['median_us']:.1f} us/restart")
     for row in entry["layers"]:
         print(f"apply_flip n={row['n']}: {row['apply_flip']['median_us']:.1f} us/call, "
               f"probe_energies: {row['probe_energies']['median_us']:.1f} us/call, "
