@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Optional
 
 from . import __version__
@@ -26,7 +25,7 @@ from .core import BinarySequence, energy, merit_factor, sidelobes
 from .errors import DomainError, LabsError, ParseError
 from .partitions import best_partition, format_potential_table, scan_potentials
 from .records import (DEFAULT_TOLERANCE, classify, decode_hex, encode_hex,
-                      load_dataset, verify_all)
+                      load_dataset, mf_fields, verify_all)
 from .skew import exhaustive_best
 from .solver import POLICIES, POLICY_SELF_AVOIDING, SolverConfig, run
 
@@ -46,10 +45,6 @@ def _emit(record: dict, human: bool) -> None:
         print(json.dumps(record, sort_keys=True), flush=True)
 
 
-def _mf_fields(mf: Fraction) -> dict:
-    return {"mf": float(mf), "mf_num": mf.numerator, "mf_den": mf.denominator}
-
-
 # --- eval -------------------------------------------------------------------
 
 
@@ -67,7 +62,7 @@ def _cmd_eval(args) -> int:
         "command": "eval",
         "n": seq.n,
         "energy": energy(seq),
-        **_mf_fields(mf),
+        **mf_fields(mf),
         "classification": classify(seq),
         "hex": encode_hex(seq),
     }
@@ -162,7 +157,7 @@ def _cmd_search(args) -> int:
         if rec is None:
             record["mf"] = None
         else:
-            record.update(_mf_fields(rec.mf))
+            record.update(mf_fields(rec.mf))
             record["hex"] = encode_hex(rec.sequence)
             record["n"] = rec.sequence.n
             if args.timing:
@@ -197,7 +192,7 @@ def _cmd_exhaustive(args) -> int:
         "command": "exhaustive",
         "n": args.n,
         "skew_only": args.skew_only,
-        **_mf_fields(mf),
+        **mf_fields(mf),
         "hex": encode_hex(witness),
         "energy": energy(witness),
     }

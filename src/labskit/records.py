@@ -67,6 +67,12 @@ def encode_hex(seq: BinarySequence) -> str:
     return format(seq.bits, "x")
 
 
+def mf_fields(mf: Fraction) -> dict:
+    """A merit factor's record fields: its float, then its reduced
+    numerator and denominator (`--human` prints them in this order)."""
+    return {"mf": float(mf), "mf_num": mf.numerator, "mf_den": mf.denominator}
+
+
 def classify(seq: BinarySequence) -> str:
     if seq.n >= 3 and is_skew_symmetric(seq):
         return "skew-symmetric"

@@ -41,13 +41,13 @@ import numpy as np
 
 from .core import BinarySequence, _check_length
 from .errors import DomainError
-from .partitions import sample_member
+from .partitions import project_partition, sample_member
 # The walk takes all four probe energies from one probe_energies call.
 # append_delta_arrays and truncate_delta_arrays stay bound here because
 # perfbench/tracer.py looks them up in this module's namespace.
 from .pseudo import (PROBE_EDITS, append_delta_arrays, probe_energies,  # noqa: F401
                      truncate_delta_arrays)
-from .records import encode_hex
+from .records import encode_hex, mf_fields
 from .skew import SkewSearchState
 from .symmetry import apply_eta
 
@@ -103,14 +103,7 @@ class SolverConfig:
         if self.n < 3 or self.n % 2 == 0:
             raise DomainError(f"search length must be odd and >= 3, got {self.n}")
         _check_length(self.n)
-        parts = tuple(int(t) for t in self.partition)
-        if not parts or any(t < 1 for t in parts):
-            raise DomainError(f"partition parts must be >= 1, got {parts}")
-        k = sum(parts)
-        if self.n < 2 * k + 1:
-            raise DomainError(
-                f"length {self.n} too short for partition of {k} (need >= {2 * k + 1})"
-            )
+        project_partition(self.partition, self.n)  # refuses a partition that does not fit n
         if self.t_inner < 1:
             raise DomainError(f"inner threshold must be >= 1, got {self.t_inner}")
         if self.t_outer < 1:
@@ -227,9 +220,7 @@ def _event(kind: str, target_n: int, mf: Fraction, seq: BinarySequence,
     return {
         "kind": kind,
         "target": target_n,
-        "mf": float(mf),
-        "mf_num": mf.numerator,
-        "mf_den": mf.denominator,
+        **mf_fields(mf),
         "hex": encode_hex(seq),
         "n": seq.n,
         "flips": flips,
@@ -248,6 +239,7 @@ def walk(config: SolverConfig, worker_id: int, stats: RunStats, stop=None):
     n = config.n
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=(config.seed & _M64, worker_id)))
+    first = config.order  # the walk flips positions first..l
     activate_energy = activation_energy_bound(n, config.t_activate)
     # (length, edit) of what a state scores: itself, then its four probes
     candidates = [(n, None)] + [(n + op.length_change, op) for op in PROBE_EDITS]
@@ -265,7 +257,7 @@ def walk(config: SolverConfig, worker_id: int, stats: RunStats, stop=None):
             visited = {hash_state(state)}
             w_i = 0
         else:
-            q = pick_better_neighbor(state, visited, config.policy, config.order)
+            q = pick_better_neighbor(state, visited, config.policy, first)
             if q is None:
                 restart = True
                 continue

@@ -1,7 +1,9 @@
-"""Smoke test of `tools/bench_scan.py`: its timings run against this
-source tree, so an API change they depend on fails here."""
+"""Smoke test of `tools/bench_scan.py`: every row kind runs with this
+source tree as both the parent and the change, so an API change the
+timings depend on fails here."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -15,25 +17,34 @@ def bench_scan(monkeypatch):
     # the script pins these at import; restore them afterwards
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
-    monkeypatch.syspath_prepend(str(ROOT))  # for perfbench.calibrate
     spec = importlib.util.spec_from_file_location("bench_scan", BENCH_SCAN)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "REPEATS", 2)
     monkeypatch.setattr(module, "SCAN_REPEAT_S", 0.001)
     monkeypatch.setattr(module, "RUN_BUDGETS", {101: (50, 1)})
+    for lengths in ("SCAN_LENGTHS", "LAYER_LENGTHS", "RESTART_LENGTHS"):
+        monkeypatch.setattr(module, lengths, (101,))
+    monkeypatch.setattr(module, "EXHAUSTIVE_CALLS", ((11, False), (13, True)))
+    monkeypatch.setattr(module, "PARTITION_SCAN", (12, 3))
     return module
 
 
-def test_bench_scan_timings_run_at_n_101(bench_scan):
-    assert bench_scan.time_scan(101)["median_us"] > 0
-    assert bench_scan.time_step(101)["median_us"] > 0
-    restart = bench_scan.with_bursts(bench_scan.time_restart, 101)
-    assert restart["median_us"] > 0 and min(restart["reference_burst_s"].values()) > 0
-    layers = bench_scan.time_layers(101)
-    for layer in ("apply_flip", "probe_energies", "pick_better_neighbor"):
-        assert layers[layer]["median_us"] > 0
-    run = bench_scan.time_run(101)
-    assert run["flips"] > 0 and run["median_flips_per_s"] > 0
-    assert len(run["events_sha256"]) == 64
-
+def test_bench_scan_timings_run_at_n_101(bench_scan, tmp_path):
+    out = tmp_path / "bench.json"
+    assert bench_scan.main(["--parent", str(ROOT / "src"), "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())
+    rows = [row for kind in ("scan", "step", "restart", "run", "exact") for row in entry[kind]]
+    rows += [layers[layer] for layers in entry["layers"]
+             for layer in ("apply_flip", "probe_energies", "pick_better_neighbor")]
+    assert len(rows) == 3 + 1 + 4 + 3
+    for row in rows:
+        assert min(row["median_us"].values()) > 0
+        assert row["pairs"] == bench_scan.REPEATS
+        assert all(len(us) == bench_scan.REPEATS for us in row["repeats_us"].values())
+        assert 0 <= row["wins"] <= row["pairs"] and row["parent_iqr_us"] >= 0
+    for row in entry["run"] + entry["exact"]:
+        assert row["equal"] and row["answers"]["parent"] == row["answers"]["change"]
+    (run,) = entry["run"]
+    assert run["answers"]["change"]["flips"] > 0
+    assert len(run["answers"]["change"]["events_sha256"]) == 64

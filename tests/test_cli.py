@@ -210,6 +210,8 @@ def test_search_usage_error(capsys):
     assert code == 2
     code, _ = run_main(capsys, "search", "--n", "12", "--partition", "2")
     assert code == 3  # even length is a domain refusal
+    code, _ = run_main(capsys, "search", "--n", "5", "--partition", "3")
+    assert code == 3  # so is a partition too long for the length
 
 
 @pytest.mark.parametrize("flags, env", [

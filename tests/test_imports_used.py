@@ -1,4 +1,5 @@
-"""Every module-level import in `labskit` is referenced by its module.
+"""Every module-level import in `labskit` and in `tools/` is referenced
+by its module.
 
 No linter runs on this code, so this walks each module's AST instead.
 Names that `perfbench/tracer.py` patches on a module are allowed unused:
@@ -15,7 +16,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "labskit"
 TRACER = ROOT / "perfbench" / "tracer.py"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = (sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+           + sorted((ROOT / "tools").glob("*.py")))
 
 
 def _traced_names() -> dict:
