@@ -134,24 +134,20 @@ class BinarySequence:
         return f"BinarySequence({body}, n={self.n})"
 
 
+@dataclass(frozen=True)
 class TernarySequence:
-    """Immutable sequence over {-1,0,+1}; used for partition potentials."""
+    """Immutable sequence over {-1,0,+1}; used for partition potentials.
+    Accepts any iterable and stores it as a tuple."""
 
-    __slots__ = ("elements",)
+    elements: tuple
 
-    def __init__(self, elements: Iterable[int]):
-        elems = tuple(elements)
+    def __post_init__(self):
+        elems = tuple(self.elements)
         _check_length(len(elems))
         for e in elems:
             if e not in (-1, 0, 1):
                 raise DomainError(f"ternary element must be -1, 0 or +1, got {e!r}")
         object.__setattr__(self, "elements", elems)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("TernarySequence is immutable")
-
-    def __reduce__(self):
-        return (TernarySequence, (self.elements,))
 
     @property
     def n(self) -> int:
@@ -168,15 +164,6 @@ class TernarySequence:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TernarySequence) and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash(self.elements)
-
-    def __repr__(self) -> str:
-        return f"TernarySequence({self.elements!r})"
 
 
 Sequence = Union[BinarySequence, TernarySequence]

@@ -27,7 +27,8 @@ Every probe is one of the paper's boundary edits eta, and a `PssProbe`
 names its edit by its `EtaOp`.  `probe_energies` scores n1..n6 in one
 table indexed by eta index; the walk reads n1 (append +1), n2 (append
 -1), n4 (strip the last element) and n3 (strip the first) from it
-(`PROBE_EDITS`).  The candidate sequences themselves are built only by
+(`PROBE_EDITS`), and `probe(seq, op)` reads one entry for a library
+caller.  The candidate sequences themselves are built only by
 `labskit.symmetry.apply_eta`.
 """
 
@@ -43,7 +44,7 @@ from .errors import DomainError
 from .skew import SkewSearchState, is_skew_symmetric
 from .symmetry import EtaOp, apply_eta
 
-#: The eta edits the walk probes, in `probe_neighbors` order.
+#: The eta edits the walk probes, in the order it scores them.
 PROBE_EDITS = (EtaOp(1), EtaOp(2), EtaOp(4), EtaOp(3))
 
 #: end -> eta index of appending +1 or -1 (by sign) or dropping (None) there
@@ -120,35 +121,15 @@ def truncate_delta_arrays(c: np.ndarray, e: np.ndarray, n: int, v: int,
     return tuple(col[_eta_index(end)] for col in probe_energies(c, e, v))
 
 
-def _probes(seq: BinarySequence, ops) -> list:
-    """One `PssProbe` per eta edit in `ops` of the skew-symmetric `seq`."""
+def probe(seq: BinarySequence, op: EtaOp) -> PssProbe:
+    """Probe the PSS sequence that the boundary edit `op` (eta 1..6) makes
+    from the skew-symmetric `seq`; `apply_eta(op, seq)` builds it."""
+    if op.index == 0:
+        raise DomainError("strip-both has no boundary probe; apply_eta builds it")
+    length = op.result_length(seq.n)
     state = SkewSearchState.from_sequence(seq)
     deltas, energies = probe_energies(state.c, state.e, state.energy)
-    return [PssProbe(op, deltas[op.index], energies[op.index], op.result_length(seq.n))
-            for op in ops]
-
-
-def append_delta(seq: BinarySequence, sign: int, end: str = "last") -> PssProbe:
-    """Probe the PSS sequence obtained by appending `sign` at `end`."""
-    if sign not in (-1, 1):
-        raise DomainError(f"appended element must be -1 or +1, got {sign!r}")
-    return _probes(seq, [EtaOp(_eta_index(end, sign))])[0]
-
-
-def truncate_delta(seq: BinarySequence, end: str = "last") -> PssProbe:
-    """Probe the PSS sequence obtained by dropping the element at `end`."""
-    return _probes(seq, [EtaOp(_eta_index(end))])[0]
-
-
-def probe_neighbors(seq: BinarySequence) -> list:
-    """The walk's four boundary probes (`PROBE_EDITS`): append both signs,
-    drop both ends."""
-    return _probes(seq, PROBE_EDITS)
-
-
-def materialize(seq: BinarySequence, probe: PssProbe) -> BinarySequence:
-    """Construct the PSS sequence a probe refers to."""
-    return apply_eta(probe.op, seq)
+    return PssProbe(op, deltas[op.index], energies[op.index], length)
 
 
 def pss_sidelobe_check(seq: BinarySequence) -> bool:

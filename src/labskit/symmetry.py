@@ -80,10 +80,6 @@ DELTA_GROUP = tuple(
 )
 
 
-def apply_delta(op: DeltaOp, seq: BinarySequence) -> BinarySequence:
-    return op.apply(seq)
-
-
 def orbit(seq: BinarySequence) -> set:
     """The distinct images of `seq` under the symmetry group (size | 8)."""
     return {op.apply(seq) for op in DELTA_GROUP}

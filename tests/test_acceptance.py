@@ -16,11 +16,11 @@ import pytest
 from labskit.core import BinarySequence, TernarySequence, energy, merit_factor, sidelobes
 from labskit.partitions import (best_partition, enumerate_partitions, n_star,
                                 potential, symmetry_class_count)
-from labskit.pseudo import materialize, probe_neighbors
+from labskit.pseudo import probe
 from labskit.records import load_dataset, verify_all, verify_entry
 from labskit.skew import SkewHalf, SkewSearchState, exhaustive_best, expand
 from labskit.solver import SolverConfig, run
-from labskit.symmetry import DELTA_GROUP, canonical_form
+from labskit.symmetry import DELTA_GROUP, EtaOp, apply_eta, canonical_form
 
 
 def _report(num, text):
@@ -100,8 +100,8 @@ def test_criterion_5_delta_formula_oracles():
     for _ in range(1000):
         l = rnd.randrange(2, 101)  # n = 2l+1 in [5, 201]
         b = expand(SkewHalf(tuple(rnd.choice((-1, 1)) for _ in range(l + 1))))
-        for probe in probe_neighbors(b):
-            assert probe.energy == energy(materialize(b, probe))
+        for op in map(EtaOp, range(1, 7)):
+            assert probe(b, op).energy == energy(apply_eta(op, b))
             probes += 1
     flips = 0
     for _ in range(1000):

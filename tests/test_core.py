@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import numpy as np
@@ -160,6 +161,16 @@ def test_sequence_semantics():
         s.n = 5
     with pytest.raises(IndexError):
         s[4]
+
+
+def test_ternary_sequence_value_semantics():
+    t = TernarySequence(x for x in [1, 0, -1])
+    assert t.elements == (1, 0, -1) and len(t) == 3 and list(t) == [1, 0, -1]
+    assert t == TernarySequence([1, 0, -1]) != TernarySequence([1, 0, 1])
+    assert hash(t) == hash(TernarySequence((1, 0, -1)))
+    assert pickle.loads(pickle.dumps(t)) == t
+    with pytest.raises(AttributeError):
+        t.elements = (1,)
 
 
 def test_sidelobe_array_shape_checked():

@@ -2,14 +2,12 @@ import random
 
 import pytest
 
-from labskit.core import BinarySequence, energy, sidelobes
+from labskit.core import BinarySequence, energy, merit_factor, sidelobes
 from labskit.errors import DomainError
-from labskit.pseudo import (PROBE_EDITS, append_delta,
-                            is_pseudo_skew_symmetric, materialize, probe_neighbors,
-                            pss_energy_decomposition, pss_sidelobe_check,
-                            truncate_delta)
+from labskit.pseudo import (PROBE_EDITS, is_pseudo_skew_symmetric, probe,
+                            pss_energy_decomposition, pss_sidelobe_check)
 from labskit.skew import SkewHalf, expand
-from labskit.symmetry import REVERSE, apply_delta, apply_eta
+from labskit.symmetry import REVERSE, EtaOp, apply_eta
 
 BARKER13 = BinarySequence.from_text("+++++--++-+-+")
 
@@ -55,80 +53,59 @@ def test_is_pseudo_skew_symmetric_matches_definition():
         assert is_pseudo_skew_symmetric(seq) == expected, e
 
 
+#: The six boundary edits a skew-symmetric base can be probed with.
+PROBE_OPS = [EtaOp(i) for i in range(1, 7)]
+
+
 def test_append_probe_example():
     b = BinarySequence.from_elements([1, 1, -1])
-    plus = append_delta(b, 1)
+    plus = probe(b, EtaOp(1))
     assert (plus.delta_sum, plus.energy) == (-1, 2)
     assert energy(BinarySequence.from_elements([1, 1, -1, 1])) == 2
-    minus = append_delta(b, -1)
+    minus = probe(b, EtaOp(2))
     assert (minus.delta_sum, minus.energy) == (-1, 6)
     assert energy(BinarySequence.from_elements([1, 1, -1, -1])) == 6
 
 
 def test_truncate_probe_example():
     b = BinarySequence.from_elements([1, 1, -1])
-    probe = truncate_delta(b, "last")
-    assert (probe.delta_sum, probe.energy) == (0, 1)
+    last = probe(b, EtaOp(4))
+    assert (last.delta_sum, last.energy) == (0, 1)
     assert energy(BinarySequence.from_elements([1, 1])) == 1
-
-
-def test_truncate_barker13_both_ends():
-    for end in ("last", "first"):
-        probe = truncate_delta(BARKER13, end)
-        assert probe.energy == energy(materialize(BARKER13, probe))
 
 
 def test_probes_match_recompute():
     rnd = random.Random(32)
-    for _ in range(300):
-        b = random_skew(rnd)
-        for probe in probe_neighbors(b):
-            seq = materialize(b, probe)
-            assert probe.energy == energy(seq)
-            assert seq.n == probe.length
-            assert is_pseudo_skew_symmetric(seq)
-            assert probe.merit_factor.denominator > 0
-
-
-def test_materialize_is_the_element_edit():
-    rnd = random.Random(33)
-    for _ in range(50):
-        b = random_skew(rnd)
-        e = b.elements
-        for sign in (1, -1):
-            assert materialize(b, append_delta(b, sign, "last")).elements == e + (sign,)
-            assert materialize(b, append_delta(b, sign, "first")).elements == (sign,) + e
-        assert materialize(b, truncate_delta(b, "last")).elements == e[:-1]
-        assert materialize(b, truncate_delta(b, "first")).elements == e[1:]
-        # PROBE_EDITS names the edits in probe_neighbors order
-        assert [p.op for p in probe_neighbors(b)] == list(PROBE_EDITS)
-        assert [materialize(b, p) for p in probe_neighbors(b)] == \
-            [apply_eta(op, b) for op in PROBE_EDITS]
-
-
-def test_append_parity_identity():
-    # appending changes energy by n plus an even correction 2*b*delta
-    rnd = random.Random(33)
-    for _ in range(100):
-        b = random_skew(rnd)
+    for b in [BARKER13] + [random_skew(rnd) for _ in range(300)]:
         e0 = energy(b)
-        for sign in (1, -1):
-            probe = append_delta(b, sign)
-            diff = probe.energy - e0 - b.n
-            assert diff % 2 == 0
-            assert diff == 2 * sign * probe.delta_sum
+        for op in PROBE_OPS:
+            p = probe(b, op)
+            seq = apply_eta(op, b)
+            assert p.op == op
+            assert p.energy == energy(seq)
+            assert p.length == seq.n
+            assert p.merit_factor == merit_factor(seq)
+            assert is_pseudo_skew_symmetric(seq)
+            # the element x that the edit adds (strips) moves the energy by
+            # n + 2*x*delta_sum (n - 3 + 2*x*delta_sum)
+            x = op.length_change * (sum(seq.elements) - sum(b.elements))
+            floor = b.n if op.length_change > 0 else b.n - 3
+            assert p.energy - e0 == floor + 2 * x * p.delta_sum
+        # PROBE_EDITS names the edits in the order the walk scores them
+        assert [probe(b, op).op for op in PROBE_EDITS] == list(PROBE_EDITS)
 
 
 def test_non_skew_inputs_rejected():
     not_skew = BinarySequence.from_elements([1, 1, 1])
-    with pytest.raises(DomainError):
-        append_delta(not_skew, 1)
-    with pytest.raises(DomainError):
-        truncate_delta(not_skew, "last")
-    with pytest.raises(DomainError):
-        append_delta(BinarySequence.from_elements([1, 1, -1]), 0)
-    with pytest.raises(DomainError):
-        truncate_delta(BinarySequence.from_elements([1, 1, -1]), "middle")
+    for op in PROBE_OPS:
+        with pytest.raises(DomainError, match="not skew-symmetric"):
+            probe(not_skew, op)
+    with pytest.raises(DomainError, match="strip-both"):
+        probe(BinarySequence.from_elements([1, 1, -1]), EtaOp(0))
+    one = BinarySequence.from_elements([1])
+    for op in (EtaOp(3), EtaOp(4)):
+        with pytest.raises(DomainError, match="needs length"):
+            probe(one, op)
     with pytest.raises(DomainError):
         pss_sidelobe_check(not_skew)
 
@@ -177,6 +154,7 @@ def test_truncate_reversal_symmetry():
         b = random_skew(rnd)
         if b.n < 3:
             continue
-        rev = apply_delta(REVERSE, b)
-        assert truncate_delta(b, "first").energy == truncate_delta(rev, "last").energy
-        assert append_delta(b, 1, end="first").energy == append_delta(rev, 1).energy
+        rev = REVERSE.apply(b)
+        assert probe(b, EtaOp(3)).energy == probe(rev, EtaOp(4)).energy
+        for prepend, append in ((5, 1), (6, 2)):
+            assert probe(b, EtaOp(prepend)).energy == probe(rev, EtaOp(append)).energy

@@ -7,7 +7,7 @@ from labskit.core import BinarySequence, energy
 from labskit.errors import DomainError, ParseError
 from labskit.records import (RecordEntry, classify, decode_hex, encode_hex,
                              load_dataset, verify_all, verify_entry)
-from labskit.symmetry import COMPLEMENT, apply_delta
+from labskit.symmetry import COMPLEMENT
 
 
 def test_decode_examples():
@@ -100,7 +100,7 @@ def test_verification_is_polarity_insensitive():
     rnd = random.Random(62)
     for e in rnd.sample(entries, 12):
         seq = decode_hex(e.hex, e.n)
-        flipped = apply_delta(COMPLEMENT, seq)
+        flipped = COMPLEMENT.apply(seq)
         assert energy(flipped) == energy(seq)
 
 

@@ -6,9 +6,8 @@ from labskit.core import BinarySequence, energy
 from labskit.errors import DomainError, ParseError
 from labskit.reference import ref_autocorrelation
 from labskit.symmetry import (ALTERNATE, COMPLEMENT, DELTA_GROUP, IDENTITY,
-                              REVERSE, EtaOp, apply_delta, apply_eta,
-                              apply_eta_chain, canonical_form, orbit,
-                              parse_class_expression)
+                              REVERSE, EtaOp, apply_eta, apply_eta_chain,
+                              canonical_form, orbit, parse_class_expression)
 
 
 def random_binary(rnd, n):
@@ -17,13 +16,13 @@ def random_binary(rnd, n):
 
 def test_delta_examples():
     s = BinarySequence.from_elements([1, 1, -1])
-    assert apply_delta(REVERSE, s).elements == (-1, 1, 1)
-    assert apply_delta(COMPLEMENT, s).elements == (-1, -1, 1)
+    assert REVERSE.apply(s).elements == (-1, 1, 1)
+    assert COMPLEMENT.apply(s).elements == (-1, -1, 1)
     t = BinarySequence.from_elements([1, 1, -1, 1])
-    alt = apply_delta(ALTERNATE, t)
+    alt = ALTERNATE.apply(t)
     assert alt.elements == (-1, 1, 1, 1)
     assert energy(alt) == energy(t) == 2
-    assert apply_delta(IDENTITY, s) == s
+    assert IDENTITY.apply(s) == s
 
 
 def test_group_has_eight_distinct_transforms():
@@ -60,7 +59,7 @@ def test_alternating_complement_flips_odd_correlations():
     for _ in range(50):
         n = rnd.randrange(2, 30)
         s = random_binary(rnd, n)
-        alt = apply_delta(ALTERNATE, s)
+        alt = ALTERNATE.apply(s)
         for u in range(1, n):
             assert ref_autocorrelation(alt.elements, u) == \
                 (-1) ** u * ref_autocorrelation(s.elements, u)
@@ -76,7 +75,7 @@ def test_canonical_form_properties():
         for op in DELTA_GROUP:
             assert canonical_form(op.apply(s)) == canon
     s = BinarySequence.from_elements([1, 1, -1])
-    assert canonical_form(s) == canonical_form(apply_delta(REVERSE, s))
+    assert canonical_form(s) == canonical_form(REVERSE.apply(s))
 
 
 def test_canonical_class_count_length_six():
