@@ -18,10 +18,11 @@ import math
 import os
 import sys
 import time
+from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .core import BinarySequence, energy, merit_factor, sidelobes
+from .core import BinarySequence, energy, sidelobes
 from .errors import DomainError, LabsError, ParseError
 from .partitions import best_partition, format_potential_table, scan_potentials
 from .records import (DEFAULT_TOLERANCE, classify, decode_hex, encode_hex,
@@ -39,10 +40,13 @@ EXIT_INTERRUPT = 130
 
 def _emit(record: dict, human: bool) -> None:
     if human:
-        parts = [f"{k}={record[k]}" for k in record]
-        print("  ".join(parts))
+        line = "  ".join(f"{k}={record[k]}" for k in record)
     else:
-        print(json.dumps(record, sort_keys=True), flush=True)
+        line = json.dumps(record, sort_keys=True)
+    # one write per record: print writes the newline separately, and a
+    # Ctrl-C handled between the two would join this record to the next
+    sys.stdout.write(line + "\n")
+    sys.stdout.flush()
 
 
 # --- eval -------------------------------------------------------------------
@@ -57,12 +61,12 @@ def _cmd_eval(args) -> int:
         seq = BinarySequence.from_text(args.sequence)
     else:
         raise ParseError("give a sequence as text or as --hex with --n")
-    mf = merit_factor(seq)
+    e = energy(seq)
     record = {
         "command": "eval",
         "n": seq.n,
-        "energy": energy(seq),
-        **mf_fields(mf),
+        "energy": e,
+        **mf_fields(Fraction(seq.n * seq.n, 2 * e)),
         "classification": classify(seq),
         "hex": encode_hex(seq),
     }

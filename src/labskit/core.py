@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -41,6 +42,13 @@ def _check_length(n: int) -> None:
         raise DomainError(f"sequence length {n} exceeds hard cap {MAX_LENGTH}")
 
 
+def _check_binary(elements: Iterable[int]) -> None:
+    for e in elements:
+        if e != 1 and e != -1:
+            raise DomainError(f"binary element must be -1 or +1, got {e!r}")
+
+
+@dataclass(frozen=True, repr=False)
 class BinarySequence:
     """Immutable sequence over {-1,+1}, bit-packed into a Python int.
 
@@ -49,29 +57,19 @@ class BinarySequence:
     by plain int(, 16)).
     """
 
-    __slots__ = ("n", "bits", "_elements")
+    bits: int
+    n: int
 
-    def __init__(self, bits: int, n: int):
-        _check_length(n)
-        if bits < 0 or bits >> n:
-            raise DomainError(f"packed value does not fit in {n} bits")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "_elements", None)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("BinarySequence is immutable")
-
-    def __reduce__(self):
-        return (BinarySequence, (self.bits, self.n))
+    def __post_init__(self):
+        _check_length(self.n)
+        if self.bits < 0 or self.bits >> self.n:
+            raise DomainError(f"packed value does not fit in {self.n} bits")
 
     @classmethod
     def from_elements(cls, elements: Iterable[int]) -> "BinarySequence":
         elems = tuple(elements)
         _check_length(len(elems))
-        for e in elems:
-            if e != 1 and e != -1:
-                raise DomainError(f"binary element must be -1 or +1, got {e!r}")
+        _check_binary(elems)
         return cls(int("".join(["1" if e == 1 else "0" for e in elems]), 2), len(elems))
 
     @classmethod
@@ -93,14 +91,10 @@ class BinarySequence:
                 raise ParseError(f"bad sequence token {tok!r} at position {pos}")
         return cls.from_elements(elems)
 
-    @property
+    @cached_property
     def elements(self) -> tuple:
-        cached = self._elements
-        if cached is None:
-            n, bits = self.n, self.bits
-            cached = tuple(1 if (bits >> (n - 1 - i)) & 1 else -1 for i in range(n))
-            object.__setattr__(self, "_elements", cached)
-        return cached
+        n, bits = self.n, self.bits
+        return tuple(1 if (bits >> (n - 1 - i)) & 1 else -1 for i in range(n))
 
     def as_array(self) -> np.ndarray:
         return np.array(self.elements, dtype=np.int8)
@@ -115,16 +109,6 @@ class BinarySequence:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BinarySequence)
-            and self.n == other.n
-            and self.bits == other.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.bits))
 
     def __repr__(self) -> str:
         if self.n <= 40:

@@ -115,7 +115,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import BinarySequence, SidelobeArray, lag_products
+from .core import BinarySequence, _check_binary, lag_products
 from .errors import DomainError
 
 #: When set (env LABSKIT_DEBUG_VERIFY=1), every apply_flip re-derives the
@@ -140,9 +140,7 @@ class SkewHalf:
     def __post_init__(self):
         if len(self.elements) < 1:
             raise DomainError("skew half needs at least one element")
-        for e in self.elements:
-            if e not in (-1, 1):
-                raise DomainError(f"binary element must be -1 or +1, got {e!r}")
+        _check_binary(self.elements)
 
     @property
     def l(self) -> int:
@@ -229,12 +227,6 @@ class SkewSearchState:
         # packbits fills the last byte with zero bits from the right
         packed = int.from_bytes(np.packbits(self.e > 0).tobytes(), "big")
         return BinarySequence(packed >> (-self.n % 8), self.n)
-
-    def sidelobes(self) -> SidelobeArray:
-        return SidelobeArray(values=tuple(int(x) for x in self.c[:0:-1]), n=self.n)
-
-    def merit_factor(self) -> Fraction:
-        return Fraction(self.n * self.n, 2 * self.energy)
 
     def _terms(self, q: int) -> np.ndarray:
         """T_u for flipping q, u = 2, 4, .., n-1; raises for q outside [0, l]."""

@@ -35,7 +35,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from multiprocessing.connection import wait
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,23 +60,14 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
-def fnv1a_words(words: Sequence[int]) -> int:
-    """64-bit FNV-1a-style fold over 64-bit words."""
-    h = _FNV_OFFSET
-    for w in words:
-        h ^= w & _M64
-        h = (h * _FNV_PRIME) & _M64
-    return h
-
-
 def hash_half_bits(half_bits: int, half_len: int) -> int:
-    """Stable digest of a packed half sequence, length-prefixed."""
-    words = [half_len]
-    v = half_bits
-    while v:
-        words.append(v & _M64)
-        v >>= 64
-    return fnv1a_words(words)
+    """Stable digest of a packed half sequence: a 64-bit FNV-1a-style fold
+    of the length, then each 64-bit word of the bits from the lowest up."""
+    h = ((_FNV_OFFSET ^ half_len) * _FNV_PRIME) & _M64
+    while half_bits:
+        h = ((h ^ (half_bits & _M64)) * _FNV_PRIME) & _M64
+        half_bits >>= 64
+    return h
 
 
 def hash_state(state: SkewSearchState) -> int:

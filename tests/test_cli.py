@@ -1,3 +1,4 @@
+import io
 import json
 import multiprocessing
 import os
@@ -9,7 +10,7 @@ import time
 
 import pytest
 
-from labskit.cli import main
+from labskit.cli import _emit, main
 from labskit.core import merit_factor
 from labskit.partitions import sample_member
 from labskit.records import decode_hex
@@ -314,15 +315,43 @@ def test_search_interrupt_flushes_and_exits_130(workers, to_group):
         guard.cancel()
         proc.stdout.close()
         proc.stderr.close()
-    assert "Traceback" not in err
-    assert not waiting  # the improvements streamed live, before the signal
-    assert proc.returncode == 130
-    assert took < 1.0
+    why = f"took={took:.3f}s returncode={proc.returncode} stderr tail={err[-400:]!r}"
+    assert "Traceback" not in err, why
+    assert not waiting, why  # the improvements streamed live, before the signal
+    assert proc.returncode == 130, why
+    assert took < 1.0, why
     records = [json.loads(l) for l in lines + out.splitlines() if l.strip()]
     finals = [r for r in records if r.get("kind") == "final"]
-    assert len(finals) == 3  # partial best triple flushed
+    assert len(finals) == 3, why  # partial best triple flushed
     summary = [r for r in records if r.get("kind") == "summary"]
-    assert summary and summary[0]["interrupted"] is True
+    assert summary and summary[0]["interrupted"] is True, why
+
+
+@pytest.mark.parametrize("human", [False, True])
+def test_emit_interrupted_after_a_write_keeps_records_whole(monkeypatch, human):
+    """A Ctrl-C handled right after a write to stdout ends the record being
+    emitted there; the next record (a final) must still get its own line."""
+
+    class Stdout(io.StringIO):
+        interrupted = False
+
+        def write(self, text):
+            super().write(text)
+            if not self.interrupted:
+                self.interrupted = True
+                raise KeyboardInterrupt
+
+    out = Stdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    with pytest.raises(KeyboardInterrupt):
+        _emit({"kind": "improvement", "target": 61}, human)
+    _emit({"kind": "final", "target": 60}, human)
+    if human:
+        assert out.getvalue().splitlines() == ["kind=improvement  target=61",
+                                               "kind=final  target=60"]
+    else:
+        assert [json.loads(l) for l in out.getvalue().splitlines()] == [
+            {"kind": "improvement", "target": 61}, {"kind": "final", "target": 60}]
 
 
 def test_search_length_above_cap_is_refused_at_once():

@@ -9,6 +9,7 @@ from labskit.core import (BinarySequence, SidelobeArray, TernarySequence,
                           merit_factor_pair, sidelobes)
 from labskit.errors import DomainError, ParseError
 from labskit.reference import ref_autocorrelation, ref_energy, ref_sidelobes
+from labskit.skew import SkewHalf
 
 BARKER13 = BinarySequence.from_text("+++++--++-+-+")
 
@@ -129,6 +130,9 @@ def test_ref_energy_matches_per_lag_sums():
 def test_binary_validation():
     with pytest.raises(DomainError):
         BinarySequence.from_elements([1, 0, -1])
+    for build in (lambda: SkewHalf((1, 0)), lambda: BinarySequence.from_elements([1, 0])):
+        with pytest.raises(DomainError, match=r"^binary element must be -1 or \+1, got 0$"):
+            build()
     with pytest.raises(DomainError):
         BinarySequence.from_elements([])
     with pytest.raises(DomainError):
@@ -159,8 +163,14 @@ def test_sequence_semantics():
     assert hash(s) == hash(BinarySequence(0b1011, 4))
     with pytest.raises(AttributeError):
         s.n = 5
+    with pytest.raises(AttributeError):
+        s.bits = 0
     with pytest.raises(IndexError):
         s[4]
+    assert BinarySequence(5, 3) != BinarySequence(5, 4)
+    for fresh in (BinarySequence(0b1011, 4), s):  # elements not yet cached, then cached
+        copy = pickle.loads(pickle.dumps(fresh))
+        assert copy == fresh and copy.elements == fresh.elements == (1, -1, 1, 1)
 
 
 def test_ternary_sequence_value_semantics():
