@@ -13,13 +13,13 @@ a single worker produce byte-identical output streams.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
 
 from . import __version__
 from .core import BinarySequence, energy, sidelobes
@@ -28,7 +28,7 @@ from .partitions import best_partition, format_potential_table, scan_potentials
 from .records import (DEFAULT_TOLERANCE, classify, decode_hex, encode_hex,
                       load_dataset, mf_fields, verify_all)
 from .skew import exhaustive_best
-from .solver import POLICIES, POLICY_SELF_AVOIDING, SolverConfig, run
+from .solver import POLICIES, SolverConfig, run
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -107,14 +107,7 @@ def _parse_duration(text: str) -> float:
 
 
 def _cmd_search(args) -> int:
-    workers = args.workers
-    if workers is None:
-        workers = _parse_int(os.environ.get("LABSKIT_WORKERS", "1"), "LABSKIT_WORKERS")
-    time_limit: Optional[float] = None
-    if args.budget is not None:
-        time_limit = _parse_duration(args.budget)
-    elif os.environ.get("LABSKIT_TIME_LIMIT"):
-        time_limit = _parse_duration(os.environ["LABSKIT_TIME_LIMIT"])
+    time_limit = None if args.budget is None else _parse_duration(args.budget)
     if time_limit == math.inf:
         time_limit = None  # no deadline, and JSON has no Infinity
 
@@ -124,7 +117,7 @@ def _cmd_search(args) -> int:
         t_inner=args.ti,
         t_outer=args.to,
         t_activate=args.ta,
-        workers=workers,
+        workers=args.workers,
         seed=args.seed,
         time_limit=time_limit,
         policy=args.policy,
@@ -296,17 +289,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="restart local search at one length")
     p.add_argument("--n", type=int, required=True, help="odd target length")
     p.add_argument("--partition", required=True, help="comma list, e.g. 6,3,3")
-    p.add_argument("--ti", type=int, default=100_000,
+    p.add_argument("--ti", type=int, default=SolverConfig.t_inner,
                    help="inner move budget: at most TI+1 flips per restart")
-    p.add_argument("--to", type=int, default=1_000,
+    p.add_argument("--to", type=int, default=SolverConfig.t_outer,
                    help="outer restart budget: TO+1 restarts")
-    p.add_argument("--ta", type=float, default=0.0,
+    p.add_argument("--ta", type=float, default=SolverConfig.t_activate,
                    help="merit-factor threshold activating adjacent-length probes")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (env LABSKIT_WORKERS)")
-    p.add_argument("--budget", help="wall-clock limit, e.g. 5s / 2m (env LABSKIT_TIME_LIMIT)")
-    p.add_argument("--policy", choices=list(POLICIES), default=POLICY_SELF_AVOIDING)
+    p.add_argument("--seed", type=int, default=SolverConfig.seed)
+    p.add_argument("--workers", type=int, default=SolverConfig.workers,
+                   help="parallel worker processes")
+    p.add_argument("--budget", help="wall-clock limit, e.g. 5s / 2m")
+    p.add_argument("--policy", choices=list(POLICIES), default=SolverConfig.policy)
     p.add_argument("--timing", action="store_true",
                    help="add elapsed-time fields (stream no longer reproducible byte-for-byte)")
     p.add_argument("--human", action="store_true")
@@ -329,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("potentials", help="optimal-partition scan")
     p.add_argument("--k", type=int, required=True, help="restriction order")
     p.add_argument("--parts", type=int, required=True, help="number of parts")
-    p.add_argument("--objective", choices=["U", "Ustar"], default="U")
+    p.add_argument("--objective", choices=["U", "Ustar"],
+                   default=inspect.signature(best_partition).parameters["objective"].default)
     p.add_argument("--all", action="store_true", help="emit the whole scan table")
     p.add_argument("--human", action="store_true")
     p.set_defaults(func=_cmd_potentials)

@@ -93,8 +93,8 @@ class BinarySequence:
 
     @cached_property
     def elements(self) -> tuple:
-        n, bits = self.n, self.bits
-        return tuple(1 if (bits >> (n - 1 - i)) & 1 else -1 for i in range(n))
+        # one linear unpack: shifting out each bit would copy the n-bit int n times
+        return tuple(1 if c == "1" else -1 for c in format(self.bits, f"0{self.n}b"))
 
     def as_array(self) -> np.ndarray:
         return np.array(self.elements, dtype=np.int8)

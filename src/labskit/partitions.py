@@ -3,10 +3,12 @@ skew-symmetric prefixes, ternary potential sequences and optimal-
 partition scans.
 
 A partition (t_0, .., t_g) of k projects onto a skew-symmetric sequence
-of odd length n >= 2k+1 as sign-alternating runs: t_0 copies of the
-leading sign a, then t_1 copies of -a, and so on.  The skew rule forces
-the last k elements from the first k (b_{n-1-j} = (-1)^{l-j} b_j for
-n = 2l+1), leaving n-2k free positions in the middle.
+of odd length n >= 2k+1 as sign-alternating runs: t_0 copies of +1,
+then t_1 copies of -1, and so on.  The class whose runs start at -1 is
+the `symmetry.COMPLEMENT` image of this one, with the same energies, so
+the +1 class serves for both.  The skew rule forces the last k elements
+from the first k (b_{n-1-j} = (-1)^{l-j} b_j for n = 2l+1), leaving
+n-2k free positions in the middle.
 
 The *potential* of a partition is the energy of its potential sequence,
 the skew expansion (`labskit.skew.expand_rows`) of (prefix, 0, .., 0),
@@ -73,15 +75,9 @@ def _check_partition(partition: Sequence[int]) -> Tuple[int, ...]:
     return parts
 
 
-def enumerate_partitions(k: int, parts: Optional[int] = None,
-                         non_increasing: bool = True) -> Iterator[Tuple[int, ...]]:
-    """All ways of writing k as a sum of positive integers.
-
-    With non_increasing=True these are classic partitions (t_i >= t_{i+1});
-    otherwise ordered compositions, matching the projection semantics
-    where (3,1,2) and (3,2,1) are distinct prefixes.  `parts` fixes the
-    number of summands.
-    """
+def enumerate_partitions(k: int, parts: Optional[int] = None) -> Iterator[Tuple[int, ...]]:
+    """The partitions of k (t_i >= t_{i+1} >= 1) in descending
+    lexicographic order; `parts` fixes the number of summands."""
     if k < 1:
         raise DomainError(f"partition target must be >= 1, got {k}")
     if parts is not None and not 1 <= parts <= k:
@@ -100,11 +96,10 @@ def enumerate_partitions(k: int, parts: Optional[int] = None,
             # leave at least 1 for each other open part; a non-increasing
             # tail cannot fit below t once t < remaining / left
             hi = min(hi, remaining - (left - 1))
-            if non_increasing:
-                lo = -(-remaining // left)
+            lo = -(-remaining // left)
         for t in range(hi, lo - 1, -1):
             acc.append(t)
-            yield from rec(remaining - t, t if non_increasing else k, acc)
+            yield from rec(remaining - t, t, acc)
             acc.pop()
 
     yield from rec(k, k, [])
@@ -132,32 +127,30 @@ def restriction_class_size(n: int, k: int, skew: bool = False) -> int:
     return 2 ** (l - k + 1)
 
 
-def _projection(rows: np.ndarray, k: int, n: int, leading: int) -> np.ndarray:
+def _projection(rows: np.ndarray, k: int, n: int) -> np.ndarray:
     """(B, n) int8 ternary projections of a (B, g) block of checked
-    partitions of k: runs, zeros, forced suffix."""
-    if leading not in (-1, 1):
-        raise DomainError(f"leading sign must be -1 or +1, got {leading!r}")
+    partitions of k: runs from +1, zeros, forced suffix."""
     if n % 2 == 0:
         raise DomainError(f"projection length must be odd, got {n}")
     if n < 2 * k + 1:
         raise DomainError(f"length {n} too short for partition of {k} (need >= {2 * k + 1})")
     b, g = rows.shape
-    signs = np.resize(np.array([leading, -leading], dtype=np.int8), g)
+    signs = np.resize(np.array([1, -1], dtype=np.int8), g)
     half = np.zeros((b, n // 2 + 1), dtype=np.int8)
     half[:, :k] = np.repeat(np.tile(signs, b), rows.ravel()).reshape(b, k)
     return expand_rows(half)
 
 
-def project_partition(partition: Sequence[int], n: int,
-                      leading: int = 1) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
+def project_partition(partition: Sequence[int],
+                      n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], int]:
     """(fixed prefix, forced suffix, free position count) at length n.
 
-    The prefix is the sign-alternating run projection starting at
-    `leading`; the suffix is what the skew rule forces from it.
+    The prefix is the sign-alternating run projection starting at +1;
+    the suffix is what the skew rule forces from it.
     """
     parts = _check_partition(partition)
     k = sum(parts)
-    a = _projection(np.array([parts]), k, n, leading)[0]
+    a = _projection(np.array([parts]), k, n)[0]
     return tuple(a[:k].tolist()), tuple(a[n - k :].tolist()), n - 2 * k
 
 
@@ -167,14 +160,13 @@ def n_star(k: int) -> int:
     return n if n % 2 == 1 else n + 1
 
 
-def potential_sequence(partition: Sequence[int], n: Optional[int] = None,
-                       leading: int = 1) -> TernarySequence:
+def potential_sequence(partition: Sequence[int], n: Optional[int] = None) -> TernarySequence:
     """The ternary projection with the free middle zeroed."""
     parts = _check_partition(partition)
     k = sum(parts)
     if n is None:
         n = n_star(k)
-    return TernarySequence(_projection(np.array([parts]), k, n, leading)[0].tolist())
+    return TernarySequence(_projection(np.array([parts]), k, n)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -188,7 +180,7 @@ class PotentialReport:
 def _block_potentials(rows: np.ndarray, k: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Exact int64 (U, U*) arrays for a (B, g) block of checked
     partitions of k, evaluated at odd length n >= 2k+1."""
-    a = _projection(rows, k, n, 1)
+    a = _projection(rows, k, n)
     # position-major columns, one per partition; a lag sums at most k
     # products of +-1, so int32 holds every entry exactly
     p = np.ascontiguousarray(a[:, :k].T, dtype=np.int32)
@@ -273,8 +265,7 @@ def format_potential_table(reports: Sequence[PotentialReport]) -> str:
     return "\n".join(lines)
 
 
-def sample_member(partition: Sequence[int], n: int, rng: np.random.Generator,
-                  leading: int = 1) -> SkewHalf:
+def sample_member(partition: Sequence[int], n: int, rng: np.random.Generator) -> SkewHalf:
     """Uniform random member of the partition class at length n.
 
     Prefix and suffix come from the projection; the free half positions
@@ -283,6 +274,6 @@ def sample_member(partition: Sequence[int], n: int, rng: np.random.Generator,
     """
     parts = _check_partition(partition)
     k = sum(parts)
-    half = _projection(np.array([parts]), k, n, leading)[0, : n // 2 + 1]
+    half = _projection(np.array([parts]), k, n)[0, : n // 2 + 1]
     half[k:] = 2 * rng.integers(0, 2, size=n // 2 + 1 - k) - 1
     return SkewHalf(tuple(half.tolist()))

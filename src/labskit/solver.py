@@ -118,10 +118,7 @@ class SolverConfig:
 class BestRecord:
     mf: Fraction
     sequence: BinarySequence
-    found_flips: int
-    found_restarts: int
     found_elapsed: float
-    worker: int = 0
 
 
 @dataclass
@@ -285,8 +282,7 @@ def _consume(config: SolverConfig, worker_id: int, emit: Callable[[dict], None],
     try:
         for length, energy, seq in walk(config, worker_id, stats, stop):
             mf = Fraction(length * length, 2 * energy)
-            setattr(best, slots[length], BestRecord(mf, seq, stats.flips, stats.restarts,
-                                                    time.monotonic() - start, worker_id))
+            setattr(best, slots[length], BestRecord(mf, seq, time.monotonic() - start))
             emit(_event("improvement", length, mf, seq, stats.flips, stats.restarts,
                         worker_id))
     except KeyboardInterrupt:

@@ -52,19 +52,6 @@ class DeltaOp:
             elems.reverse()
         return BinarySequence.from_elements(elems)
 
-    @property
-    def name(self) -> str:
-        if not (self.reverse or self.negate or self.alternate):
-            return "identity"
-        parts = []
-        if self.alternate:
-            parts.append("alternate")
-        if self.negate:
-            parts.append("complement")
-        if self.reverse:
-            parts.append("reverse")
-        return "+".join(parts)
-
 
 IDENTITY = DeltaOp()
 REVERSE = DeltaOp(reverse=True)
@@ -112,10 +99,6 @@ class EtaOp:
     def __post_init__(self):
         if self.index not in ETA_TABLE:
             raise DomainError(f"eta index must be in 0..{max(ETA_TABLE)}, got {self.index}")
-
-    @property
-    def name(self) -> str:
-        return ETA_TABLE[self.index][0]
 
     @property
     def length_change(self) -> int:

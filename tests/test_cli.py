@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import multiprocessing
@@ -10,10 +11,11 @@ import time
 
 import pytest
 
-from labskit.cli import _emit, main
+from labskit.cli import _emit, build_parser, main
 from labskit.core import merit_factor
-from labskit.partitions import sample_member
+from labskit.partitions import best_partition, sample_member
 from labskit.records import decode_hex
+from labskit.solver import SolverConfig
 
 
 def strict_json(line):
@@ -215,14 +217,11 @@ def test_search_usage_error(capsys):
     assert code == 3  # so is a partition too long for the length
 
 
-@pytest.mark.parametrize("flags, env", [
-    (["--budget", "nan"], {}),
-    ([], {"LABSKIT_TIME_LIMIT": "nan"}),
-    (["--ta", "nan"], {}),
-], ids=["budget", "env-time-limit", "ta"])
-def test_search_nan_budget_is_domain_error(capsys, monkeypatch, flags, env):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+@pytest.mark.parametrize("flags", [
+    ["--budget", "nan"],
+    ["--ta", "nan"],
+], ids=["budget", "ta"])
+def test_search_nan_budget_is_domain_error(capsys, flags):
     code = main(["search", "--n", "21", "--partition", "1,1,2,2", "--ti", "200",
                  "--to", "2", *flags])
     captured = capsys.readouterr()
@@ -232,13 +231,11 @@ def test_search_nan_budget_is_domain_error(capsys, monkeypatch, flags, env):
     assert "nan" not in captured.out.lower()
 
 
-@pytest.mark.parametrize("flags, env", [
-    (["--ta", "inf", "--budget", "inf"], {}),
-    (["--ta", "inf"], {"LABSKIT_TIME_LIMIT": "inf"}),
-], ids=["flags", "env-time-limit"])
-def test_search_infinite_budget_and_threshold_print_null(capsys, monkeypatch, flags, env):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+@pytest.mark.parametrize("flags", [
+    ["--ta", "inf", "--budget", "inf"],
+    ["--ta", "inf"],
+], ids=["flags", "no-budget"])
+def test_search_infinite_budget_and_threshold_print_null(capsys, flags):
     code, recs = run_main(capsys, "search", "--n", "21", "--partition", "1,1,2,2",
                           "--ti", "5", "--to", "1", *flags)
     assert code == 0
@@ -387,21 +384,23 @@ def test_search_lost_worker_is_one_error_line_and_exit_4(capsys, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_env_overrides_workers():
-    env = dict(os.environ, LABSKIT_WORKERS="2", LABSKIT_TIME_LIMIT="3s")
-    out = _run_cli(["search", "--n", "21", "--partition", "2,1", "--ti", "200",
-                    "--to", "3", "--seed", "1"], env=env)
-    assert out.returncode == 0
-    records = [json.loads(l) for l in out.stdout.splitlines()]
-    summary = [r for r in records if r.get("kind") == "summary"][0]
-    assert summary["workers"] == 2
+def test_search_and_potentials_defaults_are_the_library_defaults():
+    parser = build_parser()
+    args = parser.parse_args(["search", "--n", "21", "--partition", "2,1"])
+    config = SolverConfig(n=21, partition=(2, 1))
+    assert (args.ti, args.to, args.ta, args.seed, args.workers, args.policy) == \
+        (config.t_inner, config.t_outer, config.t_activate, config.seed, config.workers,
+         config.policy)
+    args = parser.parse_args(["potentials", "--k", "6", "--parts", "2"])
+    assert args.objective == \
+        inspect.signature(best_partition).parameters["objective"].default
 
 
-def test_env_workers_not_an_integer_is_parse_error(capsys, monkeypatch):
-    monkeypatch.setenv("LABSKIT_WORKERS", "abc")
-    code = main(["search", "--n", "13", "--partition", "3", "--to", "1"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
+def test_search_reads_no_environment():
+    env = dict(os.environ, LABSKIT_WORKERS="2", LABSKIT_TIME_LIMIT="nan")
+    out = _run_cli(["search", "--n", "21", "--partition", "2,1", "--ti", "20",
+                    "--to", "1", "--seed", "1"], env=env)
+    assert out.returncode == 0, out.stderr
+    header = json.loads(out.stdout.splitlines()[0])
+    assert header["kind"] == "config"
+    assert header["workers"] == 1 and header["time_limit"] is None

@@ -1,5 +1,6 @@
 import pickle
 import random
+import time
 
 import numpy as np
 import pytest
@@ -171,6 +172,24 @@ def test_sequence_semantics():
     for fresh in (BinarySequence(0b1011, 4), s):  # elements not yet cached, then cached
         copy = pickle.loads(pickle.dumps(fresh))
         assert copy == fresh and copy.elements == fresh.elements == (1, -1, 1, 1)
+
+
+def test_elements_match_indexing():
+    rnd = random.Random(5)
+    for n in (1, 7, 8, 9, 63, 64, 65, 1001):
+        for bits in (0, (1 << n) - 1, rnd.getrandbits(n)):
+            seq = BinarySequence(bits, n)
+            assert seq.elements == tuple(seq[i] for i in range(n)), (n, bits)
+
+
+def test_elements_unpack_is_linear():
+    # shifting each bit out of the packed int took ~14 s at this length
+    n = 999_999
+    seq = BinarySequence(random.Random(6).getrandbits(n), n)
+    start = time.perf_counter()
+    elements = seq.elements
+    assert time.perf_counter() - start < 5.0
+    assert len(elements) == n and elements[0] == seq[0] and elements[-1] == seq[n - 1]
 
 
 def test_ternary_sequence_value_semantics():

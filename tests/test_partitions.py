@@ -37,13 +37,6 @@ def test_enumerate_fixed_parts():
         assert all(a >= b for a, b in zip(p, p[1:]))
 
 
-def test_enumerate_compositions():
-    comps = list(enumerate_partitions(6, parts=2, non_increasing=False))
-    assert comps == [(5, 1), (4, 2), (3, 3), (2, 4), (1, 5)]
-    # compositions count 2^{k-1}
-    assert len(list(enumerate_partitions(7, non_increasing=False))) == 64
-
-
 def all_compositions(k):
     # a composition of k is a choice of cut points among 1..k-1
     return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (k,)))
@@ -56,14 +49,11 @@ def test_enumerate_compositions_match_itertools():
     for k in range(1, 15):
         comps = all_compositions(k)
         for p in [None, *range(1, k + 1)]:
-            for non_increasing in (True, False):
-                expected = sorted(
-                    (c for c in comps
-                     if (p is None or len(c) == p)
-                     and (not non_increasing or all(a >= b for a, b in zip(c, c[1:])))),
-                    reverse=True)
-                assert list(enumerate_partitions(k, p, non_increasing)) == expected, \
-                    (k, p, non_increasing)
+            expected = sorted(
+                (c for c in comps
+                 if (p is None or len(c) == p) and all(a >= b for a, b in zip(c, c[1:]))),
+                reverse=True)
+            assert list(enumerate_partitions(k, p)) == expected, (k, p)
 
 
 def test_enumerate_errors():
@@ -107,18 +97,16 @@ def test_projection_boundary_and_signs():
     # at the minimum length only the center position stays free
     prefix, suffix, free = project_partition((2, 1), 7)
     assert free == 1
-    # complementing the leading sign complements both fixed sections
-    p_pos, s_pos, _ = project_partition((3, 2), 15, leading=1)
-    p_neg, s_neg, _ = project_partition((3, 2), 15, leading=-1)
-    assert p_neg == tuple(-x for x in p_pos)
-    assert s_neg == tuple(-x for x in s_pos)
+    # the runs start at +1
+    prefix, suffix, _ = project_partition((3, 2), 15)
+    assert prefix == (1, 1, 1, -1, -1)
 
 
-def old_projection(parts, n, leading):
+def old_projection(parts, n):
     """The list formula `project_partition` used before the projection
     went through `skew.expand_rows`, kept as the reference."""
     prefix = []
-    sign = leading
+    sign = 1
     for t in parts:
         prefix.extend([sign] * t)
         sign = -sign
@@ -137,12 +125,10 @@ def test_projection_matches_list_formula():
         parts = tuple(b - a for a, b in zip([0] + cuts, cuts + [k]))
         cases += [(parts, 2 * k + 1 + 2 * rnd.randrange(0, 4)), (parts, 2 * k + 1)]
     for parts, n in cases:
-        for leading in (1, -1):
-            expected = old_projection(parts, n, leading)
-            assert project_partition(parts, n, leading) == expected, (parts, n, leading)
-            prefix, suffix, free = expected
-            assert potential_sequence(parts, n, leading).elements == \
-                prefix + (0,) * free + suffix
+        expected = old_projection(parts, n)
+        assert project_partition(parts, n) == expected, (parts, n)
+        prefix, suffix, free = expected
+        assert potential_sequence(parts, n).elements == prefix + (0,) * free + suffix
 
 
 def test_projection_errors():
@@ -152,8 +138,6 @@ def test_projection_errors():
         project_partition((2, 1), 8)  # even length
     with pytest.raises(DomainError):
         project_partition((0, 2), 9)
-    with pytest.raises(DomainError):
-        project_partition((2, 1), 9, leading=0)
 
 
 def test_potential_worked_example():
