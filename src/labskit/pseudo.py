@@ -19,15 +19,33 @@ the reversal of B.  The skew rule b_{n-1-j} = (-1)^(l-j) * b_j makes the
 reversal of B its alternating complement up to sign, so their sums are
 -(-1)^l * a (prepend b: E + n - 2*(-1)^l*b*a) and (-1)^l * d (drop last,
 weighted by b_{n-1} = (-1)^l * b_0).  Both drops therefore have the
-same energy E + n - 3 + 2*b_0*d, and two dot products (`boundary_sums`)
-serve all six probes.  All formulas are exact integer identities,
-validated against direct recomputation in the tests.
+same energy E + n - 3 + 2*b_0*d, and the two sums serve all six probes
+(`probe_table`).  All formulas are exact integer identities, validated
+against direct recomputation in the tests.
+
+A walk state has both sums at hand, in the row A'_q = sum_v C_|v| *
+b_{q+v} over the even lags v that `labskit.skew` keeps for its scan
+(b = 0 outside the sequence, C_0 = n):
+
+    A'_{-1} = sum_{v even, 2..n-1} C_v * b_{v-1} = (-1)^(l+1) * a,
+
+since the skew rule with v even gives b_{v-1} = (-1)^(l-v+1) * b_{n-v}
+= (-1)^(l+1) * b_{n-v}; and
+
+    A'_0 = n*b_0 + sum_{v even, 2..n-3} C_v * b_v + C_{n-1}*b_{n-1}
+         = n*b_0 - d + b_0,
+
+since C_{n-1} = b_0*b_{n-1}; so d = (n+1)*b_0 - A'_0 for n >= 3.  The
+walk reads both in O(1) that way (`SkewSearchState.boundary_sums`).  The
+dot products of `boundary_sums` stay for `probe` on a fresh state,
+which then builds no rows, and as the tests' reference.
 
 Every probe is one of the paper's boundary edits eta, and a `PssProbe`
-names its edit by its `EtaOp`.  `probe_energies` scores n1..n6 in one
+names its edit by its `EtaOp`.  `probe_table` scores n1..n6 in one
 table indexed by eta index; the walk reads n1 (append +1), n2 (append
 -1), n4 (strip the last element) and n3 (strip the first) from it
-(`PROBE_EDITS`), and `probe(seq, op)` reads one entry for a library
+(`PROBE_EDITS`), and `probe(seq, op)` reads one entry of
+`probe_energies`, the table of the dot-form sums, for a library
 caller.  The candidate sequences themselves are built only by
 `labskit.symmetry.apply_eta`.
 """
@@ -83,23 +101,28 @@ def boundary_sums(c: np.ndarray, e: np.ndarray) -> tuple:
     return int(c[2::2].dot(e[n - 2 : 0 : -2])), -int(c[2 : n - 2 : 2].dot(e[2 : n - 2 : 2]))
 
 
-def probe_energies(c: np.ndarray, e: np.ndarray, v: int) -> tuple:
+def probe_table(n: int, v: int, b0: int, a: int, d: int) -> tuple:
     """(delta sums, energies) of the boundary edits of a skew-symmetric
     base: two tuples indexed by eta index 1..6 (entry 0, strip-both, is
     None).
 
-    `c` holds C_u by shift, `e` the elements and `v` the energy of the
-    base.  One `boundary_sums` call serves all six; the prepend and
+    `n`, `v` and `b0` are the length, the energy and the first element
+    of the base, and (a, d) its `boundary_sums`; the prepend and
     drop-last entries follow from the skew rule (module docstring).
     """
-    n = e.shape[0]
-    a, d = boundary_sums(c, e)
     s = (-1) ** (n // 2)  # b_{n-1} = s * b_0
     w = v + n
-    drop = w - 3 + 2 * int(e[0]) * d
+    drop = w - 3 + 2 * b0 * d
     p = -s * a
     return ((None, a, a, d, s * d, p, p),
             (None, w + 2 * a, w - 2 * a, drop, drop, w + 2 * p, w - 2 * p))
+
+
+def probe_energies(c: np.ndarray, e: np.ndarray, v: int) -> tuple:
+    """The `probe_table` of the skew-symmetric base with correlations `c`
+    by shift, elements `e` and energy `v`, its sums taken by
+    `boundary_sums`."""
+    return probe_table(e.shape[0], v, int(e[0]), *boundary_sums(c, e))
 
 
 def _eta_index(end: str, sign: int | None = None) -> int:

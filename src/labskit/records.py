@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .core import BinarySequence, energy
+from .core import BinarySequence, _check_length, energy
 from .errors import DomainError, ParseError
 from .pseudo import is_pseudo_skew_symmetric
 from .skew import is_skew_symmetric
@@ -55,6 +55,7 @@ def decode_hex(payload: str, n: int) -> BinarySequence:
     if bad is not None:
         raise ParseError(f"non-hex character {bad!r} in payload")
     value = int(compact, 16)
+    _check_length(n)
     if value.bit_length() > n:
         raise DomainError(
             f"payload has {value.bit_length()} significant bits, exceeds length {n}"

@@ -71,24 +71,40 @@ that parity.  The skew rule b_{n-1-k} = (-1)^(l-k) * b_k gives, at even i,
     for every q, the centre included.
 
 `_scan_rows` builds A' and K from scratch, from a correlation of each
-parity class with C and one self-convolution.  The first `flip_deltas`
-call builds them; from then on `apply_flip` keeps them in step.  Each
-scan copies K_{2q} and C_m into its block of rows, and `_scan_weights`
-folds P's 1/2 and C_m term into their weights.  With F the flipped
-positions ({q, n-1-q}, or {l} at the centre), D_f = -2*b_f, b and K
-before the flip, C before it and C' after it:
+parity class of q with C and one self-convolution.  The first scan
+builds them; from then on `apply_flip` keeps them in step.  Each scan
+copies K_{2q} and C_m into its block of rows, and `_scan_weights` folds
+P's 1/2 and C_m term into their weights.
+
+The state keeps the exact float scores of its last scan, and
+`apply_flip(q)` adds entry q to the energy: it is E' - E, computed
+already.  A flip with no scan since the last one (only tests and
+direct library calls make one) runs the scan first, and the first scan
+builds the rows.  With F the flipped positions ({q, n-1-q}, or {l} at
+the centre), D_f = -2*b_f, b and K before the flip, C before it and C'
+after it, the rows change by
 
     dK_i  = sum_{f in F} 2*D_f * b_{i-f} + sum_{f+g = i} D_f*D_g,
     dC_i  = s * dK_i at even i, by (1),
-    E'-E  = sum_{u > 0} dC_u * (2*C_u + dC_u),
     dA'_q = sum_{f in F} D_f * (C_{q-f} + C'_{q-f} + K_{q+f})
             + sum_{f, g in F} D_f*D_g * b_{q+g-f}.
 
-dK is two windows of b and three point terms, dC one strided product of
-it, and the ten windows of dA' are gathered from the one state buffer and
-summed by one matrix-vector product (`_row_starts`), so a walk step does
-no O(n^2) work.  A state that is never scanned, such as a fresh state
-read only for its probes, never builds the rows.
+s*dK is two windows of b and three point terms, formed in place in the
+buffer, dC a strided copy of it, and the ten windows of dA' are gathered
+from the one state buffer and summed by one matrix-vector product
+(`_row_starts`), so a walk step does no O(n^2) work.
+
+A' is kept from q = -1 on, A'_{-1} = sum_v C_v * b_{v-1}, because the
+pseudo-skew probes read their sums from it (`boundary_sums`; the
+identities are derived in `labskit.pseudo`):
+
+    a = (-1)^(l+1) * A'_{-1},    d = (n+1)*b_0 - A'_0   (n >= 3).
+
+A zero precedes the elements and each of the rows C, dC, K and s*dK in
+the buffer, so the windows of dA', which start at q = -1, read zeros
+below their rows.  A state
+that is never scanned, such as a fresh state read only for its probes
+by `pseudo.probe`, never builds the rows.
 
 The state is one float64 buffer: elements, correlations, the rows and
 every per-flip sum above are integers of magnitude at most about n^2
@@ -183,29 +199,33 @@ class SkewSearchState:
     sequence zero-padded by n-1 on both sides, and `c` is the right half
     of the correlations at every lag -(n-1)..n-1, which the neighbour
     scan reads mirrored.  Each flip computes the change of K and takes
-    C's change (kept in `_dc`) from it.  From the first `flip_deltas` call
-    on, the state also keeps the scan's row A' and the self-convolution K
-    in step with every flip, and each scan reads P from K and C (module
-    docstring).  Every array is a view into one float64 buffer of exact
-    integers; the energy is a Python int.
+    C's change (kept in `_dc`) from it.  From the first scan on, the
+    state also keeps the scan's row A' (from q = -1) and the
+    self-convolution K in step with every flip, and each scan reads P
+    from K and C (module docstring).  Every array is a view into one
+    float64 buffer of exact integers; the energy is a Python int.
     """
 
     __slots__ = ("n", "l", "e", "c", "energy", "half_bits", "_padded", "_c_mirror", "_dc",
-                 "_k", "_block", "_weights", "_window")
+                 "_k", "_sdk", "_a", "_block", "_weights", "_window", "_scores")
 
     def __init__(self, half: SkewHalf):
         self.l = l = half.l
         self.n = n = 2 * l + 1
-        c_at, _, _, block_at = _offsets(n)
-        # one buffer: the padded elements, C at the lags -(n-1)..n-1, the
-        # change of C in the last flip, K, and the scan block of rows
-        # K_{2q}, C_m, A', b_{q-m} and ones.  Past C it stays untouched (and,
-        # when large, unmapped) until the first scan
+        padded_at, c_at, _, _, block_at = _offsets(n)
+        # one buffer: the padded elements; C at the lags -(n-1)..n-1, the
+        # change of C in the last flip, K and s times K's change in it;
+        # then A'_{-1} and the scan block of rows A', K_{2q}, C_m, b_{q-m}
+        # and ones.  A zero precedes the elements and each of the four rows
+        # of 2n-1.  Past C it stays untouched (and, when large, unmapped)
+        # until the first scan
         x = np.zeros(block_at + 5 * (l + 1))
-        self._padded = x[:c_at]
-        self._c_mirror, self._dc, self._k = x[c_at:block_at].reshape(3, 2 * n - 1)
+        self._padded = x[padded_at : c_at - 1]
+        self._c_mirror, self._dc, self._k, self._sdk = (
+            x[c_at - 1 : block_at - 1].reshape(4, 2 * n)[:, 1:])
+        self._a = x[block_at - 1 : block_at + l + 1]  # A'_q at q = -1..l
         self._block = x[block_at:].reshape(5, l + 1)
-        self._weights = self._window = None
+        self._weights = self._window = self._scores = None
         self.e = self._padded[n - 1 : 2 * n - 1]
         self.e[:] = expand_rows(np.array(half.elements))
         self._c_mirror[:] = np.correlate(self.e, self.e, mode="full")
@@ -249,26 +269,39 @@ class SkewSearchState:
         module docstring, from the maintained rows K and A' (built on the
         first call) and C.
         """
+        return self._scan().astype(np.int64)
+
+    def _scan(self) -> np.ndarray:
+        """The exact energy changes of `flip_deltas` as float64, kept
+        for the next `apply_flip`."""
         n, l = self.n, self.l
-        if not l:  # n = 1: no shifts to correlate, and its one flip keeps E = 0
-            return np.zeros(1, dtype=np.int64)
         if self._weights is None:
             self._build_rows()
         block = self._block
-        block[0] = self._k[0 : n : 2]  # K_{2q}
-        block[1] = self._c_mirror[0:n:2]  # C_m at the mirror shift m = n-1-2q
+        block[1] = self._k[0 : n : 2]  # K_{2q}
+        block[2] = self._c_mirror[0:n:2]  # C_m at the mirror shift m = n-1-2q
         block[3] = self._padded[0 : 3 * l + 1 : 3]  # b_{q-m}, 0 below the sequence
-        return np.einsum("ij,ij->j", self._weights, block).astype(np.int64)
+        self._scores = np.einsum("ij,ij->j", self._weights, block)
+        return self._scores
 
     def _build_rows(self) -> None:
         """Build A' and K from scratch and start keeping them in step."""
-        n, l = self.n, self.l
-        block = self._block
-        block[2], self._k[:] = _scan_rows(self._padded, self._c_mirror)
-        block[4] = 1
-        self._weights = _scan_weights(n).copy()
-        self._weights[2:4] *= self.e[: l + 1]
-        self._window = np.lib.stride_tricks.sliding_window_view(self._padded.base, l + 1)
+        x = self._padded.base
+        self._a[:], self._k[:] = _scan_rows(x, self._c_mirror)
+        self._block[4] = 1
+        self._weights = _scan_weights(self.n).copy()
+        self._weights[0::3] *= self.e[: self.l + 1]
+        self._window = np.lib.stride_tricks.sliding_window_view(x, self.l + 2)
+
+    def boundary_sums(self) -> tuple:
+        """The sums (a, d) of `pseudo.boundary_sums`, in O(1) from A'_{-1}
+        and A'_0 (module docstring), for n >= 3.  Builds the rows first on
+        a state that has not been scanned."""
+        if self._weights is None:
+            self._build_rows()
+        a = self._a
+        return (int(a[0]) if self.l % 2 else -int(a[0]),
+                (self.n + 1) * int(self.e[0]) - int(a[1]))
 
     def flip_delta(self, q: int) -> int:
         """E(after flip at q) - E(now), exact, without mutating.
@@ -278,34 +311,38 @@ class SkewSearchState:
         return int(4 * np.dot(t, t - self.c[2::2]))
 
     def apply_flip(self, q: int) -> None:
-        """Flip position q (pairing with n-1-q for q < l), in place."""
+        """Flip position q (pairing with n-1-q for q < l), in place.  The
+        energy change is the last scan's, which this runs if no scan has
+        been made since the last flip."""
         n, l = self.n, self.l
         if not 0 <= q <= l:
             raise DomainError(f"flip index {q} out of range [0, {l}]")
+        scores = self._scan() if self._scores is None else self._scores
+        self.energy += int(scores[q])
+        self._scores = None
         b = self.e[q]
         s = 1 - 2 * ((l - q) & 1)  # b_p = s*b_q by the skew rule; 1 at the centre
-        padded, dc = self._padded, self._dc
-        # K_i changes by 2*D_q*b_{i-q} + 2*D_p*b_{i-p} = -4*b_q*(b_{i-q} + s*b_{i-p})
-        dk = padded[n - 1 - q : 3 * n - 2 - q]
+        padded, sdk = self._padded, self._sdk
+        # K_i changes by -4*b_q*(b_{i-q} + s*b_{i-p}) plus the point terms
+        # D_f*D_g at i = f+g; sdk holds s times that change, which is C's
+        # change at the even i
         if q < l:
-            dk = (np.add if s > 0 else np.subtract)(dk, padded[q : q + 2 * n - 1])
-        dk = dk * (-4 * b)
-        dk[2 * q] += 4  # and by D_f*D_g where f+g = i
-        if q < l:
-            dk[4 * l - 2 * q] += 4
-            dk[2 * l] += 8 * s
-        np.multiply(dk[::2], s, out=dc[::2])  # C's change at the even lags; odd ones stay 0
-        dcp = dc[n + 1 :: 2]
-        self.energy += int(np.dot(dcp, 2 * self.c[2::2] + dcp))
-        if self._weights is not None:
-            # A' from C, dC, K and b before the flip, then K
-            np.dot(_ROW_COEFS[int(b), s * (q < l)], self._window[_row_starts(n)[q]],
-                   out=self._block[2])
-            self._k += dk
-            w = self._weights
-            w[2, q] = -w[2, q]
-            w[3, q] = -w[3, q]
-        self._c_mirror += dc
+            (np.add if s > 0 else np.subtract)(padded[q : q + 2 * n - 1],
+                                               padded[n - 1 - q : 3 * n - 2 - q], out=sdk)
+            sdk *= -4 * b
+            sdk[4 * l - 2 * q] += 4 * s
+            sdk[2 * l] += 8
+        else:
+            np.multiply(padded[n - 1 - q : 3 * n - 2 - q], -4 * b, out=sdk)
+        sdk[2 * q] += 4 * s
+        self._dc[::2] = sdk[::2]  # the odd lags stay 0
+        # A' from C, dC, K and b before the flip, then K
+        np.dot(_ROW_COEFS[int(b), s * (q < l)], self._window[_row_starts(n)[q]], out=self._a)
+        (np.add if s > 0 else np.subtract)(self._k, sdk, out=self._k)
+        w = self._weights
+        w[0, q] = -w[0, q]
+        w[3, q] = -w[3, q]
+        self._c_mirror += self._dc
         for i in ((q,) if q == l else (q, n - 1 - q)):
             self.e[i] = -self.e[i]
         self.half_bits ^= 1 << q
@@ -319,14 +356,15 @@ class SkewSearchState:
         if self.energy != _energy(corr[self.n - 1 :]):
             raise AssertionError("incremental energy diverged from recompute")
         if self._weights is not None:
-            a, k = _scan_rows(self._padded, self._c_mirror)
-            if not (np.array_equal(a, self._block[2]) and np.array_equal(k, self._k)):
+            a, k = _scan_rows(self._padded.base, self._c_mirror)
+            if not (np.array_equal(a, self._a) and np.array_equal(k, self._k)):
                 raise AssertionError("maintained scan rows diverged from rebuild")
 
 
 def _offsets(n: int) -> tuple:
-    """Where C, its change, K and the scan block start in a state's buffer."""
-    return 3 * n - 2, 5 * n - 3, 7 * n - 4, 9 * n - 5
+    """Where the padded elements, C, its change, K and the scan block start
+    in a state's buffer."""
+    return 1, 3 * n, 5 * n, 7 * n, 11 * n
 
 
 def _energy(c: np.ndarray) -> int:
@@ -335,32 +373,34 @@ def _energy(c: np.ndarray) -> int:
     return int(np.sum(c[1:].astype(np.int64) ** 2))
 
 
-def _scan_rows(padded: np.ndarray, c_mirror: np.ndarray) -> tuple:
-    """A' and K of the module docstring, from scratch: A'_q from a
-    correlation of q's parity class with C over the even lags, and K in
-    full."""
+def _scan_rows(x: np.ndarray, c_mirror: np.ndarray) -> tuple:
+    """A' at q = -1..l and K of the module docstring, from scratch: A' from
+    a correlation of each parity class of q with C over the even lags, and
+    K in full.  `x` is a state's buffer, whose entry i is b_{i-n}: zero
+    below the sequence."""
     n = c_mirror.shape[0] // 2 + 1
     l = n // 2
-    a = np.empty(l + 1)
+    a = np.empty(l + 2)
     lags = c_mirror[0::2]  # C_|v| at the even lags v = -(n-1)..n-1, C_0 = n included
-    for r in (0, 1):
-        m = (l + 2 - r) // 2  # the q = r, r+2, .. <= l
-        a[r::2] = np.correlate(padded[r::2][: m + 2 * l], lags, "valid")
-    e = padded[n - 1 : 2 * n - 1]
+    for j in (0, 1):
+        # entry i of x[j::2] is b_{j-n+2i}, so output i is A'_q at q = j-1+2i
+        m = (l + 3 - j) // 2
+        a[j::2] = np.correlate(x[j::2][: m + n - 1], lags, "valid")
+    e = x[n : 2 * n]
     return a, np.convolve(e, e)
 
 
 @functools.lru_cache(maxsize=16)
 def _scan_weights(n: int) -> np.ndarray:
-    """The weights of the scan block's rows K_{2q}, C_m, A', b_{q-m} and 1
-    at length n, before the b_q factor of rows 2 and 3.
+    """The weights of the scan block's rows A', K_{2q}, C_m, b_{q-m} and 1
+    at length n, before the b_q factor of rows 0 and 3.
 
     With m = n-1-2q the mirror shift, t_q = (-1)^(l-q), s_q = b_q*b_p =
     t_q by the skew rule (0 at the centre, which has no partner),
     P_q = (K_{2q} + t_q*C_m)/2 and A'_q = sum_v C_|v|*b_{q+v} over every
     even lag v, 0 included, the module docstring's energy change is
 
-        2f^2*K_{2q} + (4f*s_q + 2f^2*t_q)*C_m - 4f*b_q*A'_q
+        -4f*b_q*A'_q + 2f^2*K_{2q} + (4f*s_q + 2f^2*t_q)*C_m
         - 8f^2*s_q*b_q*b_{q-m} + 4f^2*(in-range count - 1 - [q < l]) + 4f*n.
     """
     l = n // 2
@@ -370,7 +410,7 @@ def _scan_weights(n: int) -> np.ndarray:
     t = np.where((l - q) % 2, -1, 1)
     sign = t * paired  # b_q * b_p by the skew rule
     in_range = (n - 1 - q) // 2 + q // 2  # even u with b_{q+u} or b_{q-u} in range
-    weights = np.stack((2 * f * f, 4 * f * sign + 2 * f * f * t, -4 * f, -8 * f * f * sign,
+    weights = np.stack((-4 * f, 2 * f * f, 4 * f * sign + 2 * f * f * t, -8 * f * f * sign,
                         4 * f * f * (in_range - 1 - paired) + 4 * f * n)).astype(np.float64)
     weights.setflags(write=False)
     return weights
@@ -390,20 +430,22 @@ _ROW_COEFS = {(b, s): _row_coefs(b, s) for b in (1, -1) for s in (1, 0, -1)}
 
 @functools.lru_cache(maxsize=16)
 def _row_starts(n: int) -> np.ndarray:
-    """For each flip q, the buffer offsets of the windows of l+1 that the
+    """For each flip q, the buffer offsets of the windows of l+2 that the
     A' update gathers.  With f = q and g = n-1-q (g = q at the centre)
     they are C_{q'-f}, C_{q'-g}, dC_{q'-f}, dC_{q'-g}, K_{q'+f},
-    K_{q'+g}, b_q', b_{q'+g-f}, b_{q'+f-g} and A' itself, over q' = 0..l.
+    K_{q'+g}, b_q', b_{q'+g-f}, b_{q'+f-g} and A' itself, over
+    q' = -1..l.  The windows that start below their row start at the
+    zero before it.
     """
     l = n // 2
     f = np.arange(l + 1)
     g = np.where(f < l, n - 1 - f, l)
-    c, dc, k, block = _offsets(n)
-    a = block + 2 * (l + 1)
-    const = np.full(l + 1, n - 1)
-    starts = np.stack((c + n - 1 - f, c + n - 1 - g, dc + n - 1 - f, dc + n - 1 - g,
-                       k + f, k + g, const, n - 1 + g - f, n - 1 + f - g, const - n + 1 + a),
-                      axis=1)
+    _, c, dc, k, block = _offsets(n)
+    one = np.ones(l + 1, dtype=np.int64)
+    # C_v sits at c+n-1+v, dC_v at dc+n-1+v, K_i at k+i, b_j at n+j and A'_q at block+q
+    starts = np.stack((c + n - 2 - f, c + n - 2 - g, dc + n - 2 - f, dc + n - 2 - g,
+                       k - 1 + f, k - 1 + g, (n - 1) * one, n - 1 + g - f, n - 1 + f - g,
+                       (block - 1) * one), axis=1)
     starts.setflags(write=False)
     return starts
 

@@ -10,11 +10,12 @@ scores every position in O(n) (`SkewSearchState.flip_deltas`) and picks
 by `argmin`, masking visited entries (`pick_better_neighbor`).  Once a
 state clears the activation threshold, its four adjacent pseudo-skew
 candidates of lengths n-1 and n+1 (`pseudo.PROBE_EDITS`) are probed
-through closed-form deltas, so one run keeps best candidates at three
-lengths.  At a fixed length a higher merit factor is a lower energy, so
-the walk compares integer energies against a bound computed once per
-run (`activation_energy_bound`) and builds a `Fraction` only for an
-improvement it reports.
+through closed-form deltas, whose two sums the state reads from its
+rows in O(1) (`SkewSearchState.boundary_sums`), so one run keeps best
+candidates at three lengths.  At a fixed length a higher merit factor
+is a lower energy, so the walk compares integer energies against a
+bound computed once per run (`activation_energy_bound`) and builds a
+`Fraction` only for an improvement it reports.
 
 `walk` yields the improvements and one consumer turns them into best
 records and events, inline for one worker and in each process for
@@ -42,10 +43,10 @@ import numpy as np
 from .core import BinarySequence, _check_length
 from .errors import DomainError
 from .partitions import project_partition, sample_member
-# The walk takes all four probe energies from one probe_energies call.
+# The walk takes all four probe energies from one probe_table call.
 # append_delta_arrays and truncate_delta_arrays stay bound here because
 # perfbench/tracer.py looks them up in this module's namespace.
-from .pseudo import (PROBE_EDITS, append_delta_arrays, probe_energies,  # noqa: F401
+from .pseudo import (PROBE_EDITS, append_delta_arrays, probe_table,  # noqa: F401
                      truncate_delta_arrays)
 from .records import encode_hex, mf_fields
 from .skew import SkewSearchState
@@ -258,7 +259,7 @@ def walk(config: SolverConfig, worker_id: int, stats: RunStats, stop=None):
         probing = w_i and state.energy <= activate_energy
         if probing:
             stats.probes += len(PROBE_EDITS)
-            energies = probe_energies(state.c, state.e, state.energy)[1]
+            energies = probe_table(n, state.energy, int(state.e[0]), *state.boundary_sums())[1]
         base = None
         for length, op in candidates if probing else candidates[:1]:
             energy = state.energy if op is None else energies[op.index]

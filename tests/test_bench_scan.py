@@ -35,9 +35,8 @@ def test_bench_scan_timings_run_at_n_101(bench_scan, tmp_path):
     assert bench_scan.main(["--parent", str(ROOT / "src"), "--out", str(out)]) == 0
     entry = json.loads(out.read_text())
     rows = [row for kind in ("scan", "step", "restart", "run", "exact") for row in entry[kind]]
-    rows += [layers[layer] for layers in entry["layers"]
-             for layer in ("apply_flip", "probe_energies", "pick_better_neighbor")]
-    assert len(rows) == 3 + 1 + 4 + 3
+    rows += [layers["pick_better_neighbor"] for layers in entry["layers"]]
+    assert len(rows) == 3 + 1 + 4 + 1
     for row in rows:
         assert min(row["median_us"].values()) > 0
         assert row["pairs"] == bench_scan.REPEATS

@@ -59,6 +59,11 @@ def test_eval_bad_input(capsys):
     assert code == 2
 
 
+def test_eval_hex_bad_length_names_the_length(capsys):
+    assert main(["eval", "--hex", "0", "--n", "-3"]) == 3
+    assert capsys.readouterr().err == "error: sequence length must be >= 1, got -3\n"
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--frobnicate"])

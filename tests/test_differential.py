@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from labskit.pseudo import boundary_sums, probe, probe_energies
+from labskit.pseudo import boundary_sums, probe, probe_energies, probe_table
 from labskit.reference import ref_energy
 from labskit.skew import SkewHalf, SkewSearchState, expand
 from labskit.solver import (POLICIES, POLICY_STRICT_DESCENT, activation_energy_bound,
@@ -98,7 +98,7 @@ def test_flip_deltas_at_fixed_lengths(n):
         check_scan(state, every, edge_rows(l, every))
     fresh = SkewSearchState(state.half())
     fresh.flip_deltas()  # builds its rows from scratch
-    for rows in ("_block", "_k", "_weights"):
+    for rows in ("_a", "_block", "_k", "_weights"):
         np.testing.assert_array_equal(getattr(state, rows), getattr(fresh, rows))
 
 
@@ -116,6 +116,55 @@ def test_folded_probes_match_probes_and_reference(half):
         assert p.energy == ref_energy(apply_eta(p.op, seq).elements)
         assert (deltas[p.op.index], energies[p.op.index]) == (p.delta_sum, p.energy)
     assert energies[3] == energies[4]  # dropping either end costs the same
+
+
+@st.composite
+def halves_and_flips(draw):
+    """A half of length n = 3..99 and up to 6 drawn flips, then the centre."""
+    half = draw(skew_halves(max_l=49))
+    return half, draw(st.lists(st.integers(0, half.l), max_size=6)) + [half.l]
+
+
+#: one case each of l even and l odd, every position flipped
+PARITY_CASES = ((SkewHalf((1, -1, 1)), [0, 1, 2]), (SkewHalf((1, 1, -1, -1)), [0, 1, 2, 3]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=halves_and_flips())
+@example(case=PARITY_CASES[0])
+@example(case=PARITY_CASES[1])
+def test_boundary_sums_from_rows_match_dot_form_and_reference(case):
+    """After every flip, the (a, d) the state reads from A'_{-1} and A'_0
+    equal the dot form, and the table of them gives every probe energy."""
+    half, flips = case
+    state = SkewSearchState(half)
+    for q in flips:
+        state.apply_flip(q)
+        sums = state.boundary_sums()
+        assert sums == boundary_sums(state.c, state.e)
+        seq = state.sequence()
+        energies = probe_table(state.n, state.energy, seq.elements[0], *sums)[1]
+        for i in range(1, 7):
+            assert energies[i] == ref_energy(apply_eta(EtaOp(i), seq).elements)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=halves_and_flips())
+@example(case=PARITY_CASES[0])
+@example(case=PARITY_CASES[1])
+def test_apply_flip_without_scan_matches_scanned(case):
+    """`apply_flip` takes its energy change from the last scan, or runs
+    the scan itself when none is current: both give the same energy, C,
+    K and A'."""
+    half, flips = case
+    scanned, unscanned = SkewSearchState(half), SkewSearchState(half)
+    for q in flips:
+        scanned.flip_deltas()
+        scanned.apply_flip(q)
+        unscanned.apply_flip(q)
+        assert scanned.energy == unscanned.energy == ref_energy(scanned.sequence().elements)
+        for rows in ("_c_mirror", "_k", "_a"):
+            np.testing.assert_array_equal(getattr(scanned, rows), getattr(unscanned, rows))
 
 
 def loop_pick(state, visited, policy, indices):

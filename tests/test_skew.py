@@ -208,8 +208,8 @@ def test_debug_verify_walk_checks_correlations(monkeypatch):
     st._c_mirror[1] += 2  # a maintained correlation off by an update
     with pytest.raises(AssertionError, match="correlations diverged"):
         st.apply_flip(3)
-    # a maintained scan row off by an update: K or A'
-    for corrupt in (lambda st: st._k[7:8], lambda st: st._block[2, 9:10]):
+    # a maintained scan row off by an update: K, A' or A'_{-1}
+    for corrupt in (lambda st: st._k[7:8], lambda st: st._a[10:11], lambda st: st._a[0:1]):
         st = SkewSearchState(random_half(random.Random(26), 20))
         st.flip_deltas()  # builds the rows; from now on every flip checks them
         st.apply_flip(5)

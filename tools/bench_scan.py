@@ -22,9 +22,9 @@ repeat takes about SCAN_REPEAT_S.  Single-threaded:
   first scan, which builds the rows the state keeps, at n in
   RESTART_LENGTHS;
 * `layers`: per call on a seeded state after one walk step and its scan,
-  at n in LAYER_LENGTHS: `apply_flip` (at q = l // 2, each flip undoing
-  the last), `pseudo.probe_energies` (the walk's probe entry) and
-  `solver.pick_better_neighbor` (scan included, over the free range);
+  at n in LAYER_LENGTHS: `solver.pick_better_neighbor` (scan included,
+  over the free range).  A flip and the walk's probes are timed within
+  `step` and `run`: `apply_flip` runs a scan when none is current;
 * `run`: `solver.run` with partition (6,3,3), seed 1 and a fixed flip
   budget per length, at n in RUN_BUDGETS;
 * `exact`: `exhaustive_best` at the EXHAUSTIVE_CALLS (all sequences of
@@ -172,17 +172,6 @@ def walked_state(lk, n: int) -> tuple:
     return state, visited
 
 
-def time_apply_flip(lk, n: int):
-    state, _ = walked_state(lk, n)
-    return lambda: state.apply_flip(state.l // 2)  # each call undoes the last
-
-
-def time_probe_energies(lk, n: int):
-    state, _ = walked_state(lk, n)
-    args = (state.c, state.e, state.energy)
-    return lambda: lk.pseudo.probe_energies(*args)
-
-
 def time_pick(lk, n: int):
     state, visited = walked_state(lk, n)
     return lambda: lk.solver.pick_better_neighbor(state, visited,
@@ -230,9 +219,7 @@ def measure(trees: dict) -> dict:
         "scan": [{"n": n, **row(trees, time_scan, n)} for n in SCAN_LENGTHS],
         "step": [{"n": n, **row(trees, time_step, n)} for n in SCAN_LENGTHS],
         "restart": [{"n": n, **row(trees, time_restart, n)} for n in RESTART_LENGTHS],
-        "layers": [{"n": n, "apply_flip": row(trees, time_apply_flip, n),
-                    "probe_energies": row(trees, time_probe_energies, n),
-                    "pick_better_neighbor": row(trees, time_pick, n)}
+        "layers": [{"n": n, "pick_better_neighbor": row(trees, time_pick, n)}
                    for n in LAYER_LENGTHS],
         "run": [{"n": n, "t_inner": t_inner, "t_outer": t_outer,
                  **row(trees, time_run, n, answered=True)}
