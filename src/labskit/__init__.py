@@ -7,9 +7,8 @@ search, and a verifier for the bundled dataset of published record
 sequences.
 """
 
-from .core import (BinarySequence, SidelobeArray, TernarySequence,
-                   autocorrelation, energy, merit_factor, merit_factor_pair,
-                   sidelobes)
+from .core import (BinarySequence, TernarySequence, autocorrelation, energy,
+                   merit_factor, sidelobes)
 from .errors import DomainError, LabsError, ParseError
 from .partitions import (PotentialReport, best_partition, enumerate_partitions,
                          n_star, potential, project_partition, sample_member,
@@ -27,8 +26,8 @@ from .symmetry import (DELTA_GROUP, ClassExpression, DeltaOp, EtaOp, apply_eta,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinarySequence", "TernarySequence", "SidelobeArray",
-    "autocorrelation", "sidelobes", "energy", "merit_factor", "merit_factor_pair",
+    "BinarySequence", "TernarySequence",
+    "autocorrelation", "sidelobes", "energy", "merit_factor",
     "LabsError", "DomainError", "ParseError",
     "DeltaOp", "EtaOp", "DELTA_GROUP", "ClassExpression",
     "apply_eta", "canonical_form", "parse_class_expression",

@@ -71,7 +71,7 @@ def _cmd_eval(args) -> int:
         "hex": encode_hex(seq),
     }
     if args.sidelobes:
-        record["sidelobes"] = list(sidelobes(seq).values)
+        record["sidelobes"] = list(sidelobes(seq))
     _emit(record, args.human)
     return EXIT_OK
 
@@ -238,6 +238,13 @@ def _cmd_verify(args) -> int:
 # --- potentials -------------------------------------------------------------
 
 
+def _potential_record(kind: str, report, **fields) -> dict:
+    """One potentials line, a "best" or a scan "row", for `report`."""
+    return {"command": "potentials", "kind": kind, **fields,
+            "partition": list(report.partition), "U": report.potential,
+            "Ustar": report.normalized, "eval_length": report.eval_length}
+
+
 def _cmd_potentials(args) -> int:
     if args.all:
         reports = scan_potentials(args.k, args.parts)
@@ -245,24 +252,10 @@ def _cmd_potentials(args) -> int:
             print(format_potential_table(reports))
         else:
             for r in reports:
-                _emit({
-                    "command": "potentials",
-                    "partition": list(r.partition),
-                    "U": r.potential,
-                    "Ustar": r.normalized,
-                    "eval_length": r.eval_length,
-                }, False)
+                _emit(_potential_record("row", r), False)
         return EXIT_OK
     report = best_partition(args.k, args.parts, args.objective)
-    _emit({
-        "command": "potentials",
-        "kind": "best",
-        "objective": args.objective,
-        "partition": list(report.partition),
-        "U": report.potential,
-        "Ustar": report.normalized,
-        "eval_length": report.eval_length,
-    }, args.human)
+    _emit(_potential_record("best", report, objective=args.objective), args.human)
     return EXIT_OK
 
 

@@ -6,7 +6,7 @@ Definitions used throughout the package, for a sequence b_0 .. b_{n-1}:
     E   = sum_{u=1}^{n-1} C_u^2                  energy (mainlobe excluded)
     MF  = n^2 / (2 E)                            merit factor
 
-Sidelobe arrays are kept in reversed indexing: entry i holds C_{n-1-i},
+Sidelobes are listed in reversed indexing: entry i holds C_{n-1-i},
 so index 0 is the outermost (single-product) sidelobe.  Everything here
 is exact integer arithmetic; merit factors are `fractions.Fraction`.
 
@@ -153,36 +153,6 @@ class TernarySequence:
 Sequence = Union[BinarySequence, TernarySequence]
 
 
-@dataclass(frozen=True)
-class SidelobeArray:
-    """Sidelobes in reversed indexing: values[i] = C_{n-1-i}, i in [0, n-2].
-
-    The mainlobe C_0 = n is not stored; energy is the sum of squares of
-    the stored entries.
-    """
-
-    values: tuple
-    n: int
-
-    def __post_init__(self):
-        if len(self.values) != self.n - 1:
-            raise DomainError(
-                f"sidelobe array needs n-1 entries, got {len(self.values)} for n={self.n}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, i: int) -> int:
-        return self.values[i]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.values)
-
-    def energy(self) -> int:
-        return sum(v * v for v in self.values)
-
-
 def _require_metric_length(seq: Sequence) -> int:
     n = len(seq)
     if n < 2:
@@ -229,11 +199,11 @@ def _all_correlations(seq: Sequence) -> list:
     return [int(c) for c in corr[n:]]
 
 
-def sidelobes(seq: Sequence) -> SidelobeArray:
-    """Sidelobe array in reversed indexing (outermost sidelobe first)."""
-    n = _require_metric_length(seq)
-    cs = _all_correlations(seq)
-    return SidelobeArray(values=tuple(reversed(cs)), n=n)
+def sidelobes(seq: Sequence) -> tuple:
+    """(C_{n-1}, ..., C_1): the sidelobes in reversed indexing, outermost
+    first, mainlobe excluded."""
+    _require_metric_length(seq)
+    return tuple(reversed(_all_correlations(seq)))
 
 
 def energy(seq: Sequence) -> int:
@@ -249,12 +219,7 @@ def merit_factor(seq: BinarySequence) -> Fraction:
     (the outermost sidelobe is a single +-1 product), so this never
     divides by zero.
     """
-    return Fraction(*merit_factor_pair(seq))
-
-
-def merit_factor_pair(seq: BinarySequence) -> tuple:
-    """The raw (n^2, 2E) integer pair behind the merit factor."""
     if not isinstance(seq, BinarySequence):
         raise DomainError("merit factor is defined for binary sequences")
     n = _require_metric_length(seq)
-    return n * n, 2 * energy(seq)
+    return Fraction(n * n, 2 * energy(seq))

@@ -108,7 +108,8 @@ def load_dataset(path: Optional[str] = None) -> List[RecordEntry]:
     """Parse a records file; defaults to the bundled dataset.
 
     A malformed row, or a claimed merit factor that is not a positive
-    number, raises ParseError naming its line in the file.
+    number, raises ParseError naming its line in the file.  A file with
+    no record rows raises ParseError too.
     """
     if path is None:
         text = (
@@ -127,6 +128,8 @@ def load_dataset(path: Optional[str] = None) -> List[RecordEntry]:
     header_no, header = rows[0][0], rows[0][1].strip()
     if header != "n|class|hex|old_mf|new_mf|source_table":
         raise ParseError(f"line {header_no}: unexpected dataset header {header!r}")
+    if len(rows) == 1:
+        raise ParseError("dataset file contains no record rows")
     entries: List[RecordEntry] = []
     for line_no, ln in rows[1:]:
         fields = [f.strip() for f in ln.split("|")]

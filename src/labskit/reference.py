@@ -4,14 +4,21 @@ Plain Python integer arithmetic over +-1/0 element lists, independent
 of numpy and of the bit-packed kernels in `labskit.core`.  The per-lag
 sums are deliberately naive O(n^2); `ref_energy` takes every lag from
 one exact product of Python integers, and a test checks it against the
-per-lag sums.
+per-lag sums.  `ref_walk` restates the solver's walk rule by rule; it
+shares only the seeded generator and `sample_member` with it.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from .partitions import sample_member
 
 
 def ref_autocorrelation(elements: Sequence[int], u: int) -> int:
@@ -46,3 +53,58 @@ def ref_energy(elements: Sequence[int]) -> int:
     prefix = [0, *accumulate(e)]  # prefix[k] = sum of e_i over i < k
     return sum((d[n - 1 - u] - (n - u) - prefix[n - u] - prefix[n] + prefix[u]) ** 2
                for u in range(1, n))
+
+
+def ref_walk(config) -> Iterator[tuple]:
+    """Yield (length, energy, elements, flips, restarts) for each
+    improvement of worker 0's walk under the `SolverConfig` `config`.
+
+    A restart draws a member of the partition class and scores it.  Each
+    step then flips the free position q in [k, l] (and its skew partner
+    n-1-q) whose unvisited neighbour has the lowest energy, ties to the
+    smallest q; under strict descent only a lower energy than the
+    state's qualifies.  A restart ends when no neighbour qualifies or
+    after t_inner + 1 flips, and the run after t_outer + 1 restarts.  A
+    state reached by a flip whose merit factor, as a float, is at least
+    t_activate also scores its four adjacent-length edits.  Every energy
+    is `ref_energy`'s, and visited states are kept as exact tuples.  The
+    time limit and extra workers are left out.
+    """
+    n, l, k = config.n, config.n // 2, sum(config.partition)
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=(config.seed & ((1 << 64) - 1), 0)))
+    best = {n - 1: math.inf, n: math.inf, n + 1: math.inf}
+    flips = 0
+    for restarts in range(1, config.t_outer + 2):
+        half = sample_member(config.partition, n, rng).elements
+        state = [*half, *(half[l - i] * (-1) ** i for i in range(1, l + 1))]
+        visited = {tuple(state)}
+        for moves in range(config.t_inner + 2):
+            if moves:
+                neighbours = []
+                for q in range(k, l + 1):
+                    nb = list(state)
+                    nb[q] = -nb[q]
+                    if q != l:
+                        nb[n - 1 - q] = -nb[n - 1 - q]
+                    if tuple(nb) not in visited:
+                        neighbours.append((ref_energy(nb), q, nb))
+                if not neighbours:
+                    break
+                nb_energy, _, nb = min(neighbours)
+                if config.policy == "strict-descent" and nb_energy >= energy:
+                    break
+                state = nb
+                visited.add(tuple(state))
+                flips += 1
+            energy = ref_energy(state)
+            scored = [(state, energy)]
+            if moves and float(Fraction(n * n, 2 * energy)) >= config.t_activate:
+                # eta edits 1, 2, 4 and 3: append +1, append -1, strip the
+                # last element, strip the first
+                for edit in (state + [1], state + [-1], state[:-1], state[1:]):
+                    scored.append((edit, ref_energy(edit)))
+            for elements, e in scored:
+                if e < best[len(elements)]:
+                    best[len(elements)] = e
+                    yield len(elements), e, tuple(elements), flips, restarts

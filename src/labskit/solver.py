@@ -12,10 +12,11 @@ state clears the activation threshold, its four adjacent pseudo-skew
 candidates of lengths n-1 and n+1 (`pseudo.PROBE_EDITS`) are probed
 through closed-form deltas, whose two sums the state reads from its
 rows in O(1) (`SkewSearchState.boundary_sums`), so one run keeps best
-candidates at three lengths.  At a fixed length a higher merit factor
-is a lower energy, so the walk compares integer energies against a
-bound computed once per run (`activation_energy_bound`) and builds a
-`Fraction` only for an improvement it reports.
+candidates at three lengths.  A state clears the threshold when
+float(n^2 / (2E)) >= t_activate, the merit factor's definition.  At a
+fixed length a higher merit factor is a lower energy, so the walk
+keeps integer energies and builds a `Fraction` only for an improvement
+it reports.
 
 `walk` yields the improvements and one consumer turns them into best
 records and events, inline for one worker and in each process for
@@ -178,32 +179,6 @@ def pick_better_neighbor(state: SkewSearchState, visited: set, policy: str,
     return None
 
 
-def activation_energy_bound(n: int, t_activate: float) -> int:
-    """Largest energy E >= 0 at length n with float(n^2 / (2E)) >= t_activate.
-
-    The float of n^2/(2E) never rises as E grows, so an energy passes the
-    activation test exactly when it is at most this bound (0: none does).
-    The exact start is the midpoint between t_activate and the float
-    below it, where rounding to nearest switches; the two loops settle
-    its tie and move at most one step.
-    """
-    if t_activate <= 0:
-        return n ** 3  # above every energy at length n
-    if not math.isfinite(t_activate):
-        return 0
-
-    def passes(energy: int) -> bool:
-        return float(Fraction(n * n, 2 * energy)) >= t_activate
-
-    midpoint = (Fraction(math.nextafter(t_activate, 0.0)) + Fraction(t_activate)) / 2
-    bound = math.floor(Fraction(n * n, 2) / midpoint)
-    while bound >= 1 and not passes(bound):
-        bound -= 1
-    while passes(bound + 1):
-        bound += 1
-    return bound
-
-
 def _event(kind: str, target_n: int, mf: Fraction, seq: BinarySequence,
            flips: int, restarts: int, worker: int) -> dict:
     return {
@@ -229,7 +204,7 @@ def walk(config: SolverConfig, worker_id: int, stats: RunStats, stop=None):
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=(config.seed & _M64, worker_id)))
     first = config.order  # the walk flips positions first..l
-    activate_energy = activation_energy_bound(n, config.t_activate)
+    nn = n * n
     # (length, edit) of what a state scores: itself, then its four probes
     candidates = [(n, None)] + [(n + op.length_change, op) for op in PROBE_EDITS]
     # best energy so far per length; at one length, lower energy = higher MF
@@ -255,8 +230,9 @@ def walk(config: SolverConfig, worker_id: int, stats: RunStats, stop=None):
             w_i += 1
             visited.add(hash_state(state))
         # the state itself and, once it has moved and while it clears the
-        # activation bound, its four adjacent-length probes
-        probing = w_i and state.energy <= activate_energy
+        # activation threshold, its four adjacent-length probes; int / int
+        # is correctly rounded, so this is float(Fraction(n*n, 2E)) >= ta
+        probing = w_i and nn / (2 * state.energy) >= config.t_activate
         if probing:
             stats.probes += len(PROBE_EDITS)
             energies = probe_table(n, state.energy, int(state.e[0]), *state.boundary_sums())[1]

@@ -47,8 +47,8 @@ def test_criterion_1_record_verification():
 def test_criterion_2_worked_example():
     q = TernarySequence([1, -1, 1, 1, -1, -1] + [0] * 9 + [1, -1, -1, 1, 1, 1])
     assert energy(q) == 54
-    assert sidelobes(q).values == (1, 0, 1, 0, 1, 0, -5, 0, 3, 0,
-                                   -1, 0, 0, 0, 0, 0, 0, 0, -4, 0)
+    assert sidelobes(q) == (1, 0, 1, 0, 1, 0, -5, 0, 3, 0,
+                            -1, 0, 0, 0, 0, 0, 0, 0, -4, 0)
     report = potential((1, 1, 2, 2), 21)
     assert report.potential == 54
     _report(2, "length-21 ternary projection reproduces energy 54 and the "

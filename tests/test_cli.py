@@ -152,6 +152,19 @@ def test_verify_bad_dataset_row_is_parse_error(capsys, tmp_path, row, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text", ["# comment\n", "# comment\n" + _HEADER],
+                         ids=["comment-only", "header-only"])
+def test_verify_dataset_without_records_is_parse_error(capsys, tmp_path, text):
+    # not "total: 0" and exit 1, which would read as failures beyond budget
+    dataset = tmp_path / "empty.psv"
+    dataset.write_text(text)
+    code = main(["verify", "--dataset", str(dataset)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_potentials_best(capsys):
     code, recs = run_main(capsys, "potentials", "--k", "39", "--parts", "4",
                           "--objective", "U")
@@ -166,6 +179,11 @@ def test_potentials_all_table(capsys):
     code, recs = run_main(capsys, "potentials", "--k", "6", "--parts", "2", "--all")
     assert code == 0
     assert [r["partition"] for r in recs] == [[5, 1], [4, 2], [3, 3]]
+    # every line names its kind; a row and the best record differ in no other field
+    assert all(r["kind"] == "row" for r in recs)
+    code, (best,) = run_main(capsys, "potentials", "--k", "6", "--parts", "2")
+    row = next(r for r in recs if r["partition"] == best["partition"])
+    assert {**row, "kind": "best", "objective": best["objective"]} == best
 
 
 def test_potentials_domain_error(capsys):

@@ -2,9 +2,6 @@
 reference implementations, over random odd lengths 3..151 (the
 neighbour scan up to 2001)."""
 
-import math
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,8 +10,8 @@ from hypothesis import strategies as st
 from labskit.pseudo import boundary_sums, probe, probe_energies, probe_table
 from labskit.reference import ref_energy
 from labskit.skew import SkewHalf, SkewSearchState, expand
-from labskit.solver import (POLICIES, POLICY_STRICT_DESCENT, activation_energy_bound,
-                            hash_half_bits, pick_better_neighbor)
+from labskit.solver import (POLICIES, POLICY_STRICT_DESCENT, hash_half_bits,
+                            pick_better_neighbor)
 from labskit.symmetry import EtaOp, apply_eta
 
 
@@ -247,23 +244,3 @@ def test_pick_argmin_tries_match_loop_over_visited_prefixes(case):
                 assert got is None
         assert visited == set(keys[:m])
     np.testing.assert_array_equal(state.flip_deltas(), deltas)
-
-
-def passes(n, energy, t_activate):
-    return float(Fraction(n * n, 2 * energy)) >= t_activate
-
-
-@settings(max_examples=300, deadline=None)
-@given(l=st.integers(1, 75),
-       t_activate=st.one_of(st.floats(0.0, 20.0), st.floats(0.0, 1e6),
-                            st.floats(min_value=0.0), st.just(5e-324),
-                            st.just(math.inf), st.just(math.nan)))
-def test_activation_bound_agrees_with_float_test(l, t_activate):
-    n = 2 * l + 1
-    bound = activation_energy_bound(n, t_activate)
-    if bound >= 1:
-        assert passes(n, bound, t_activate)
-    if t_activate == 0:
-        assert bound > n ** 3 // 3  # every energy at length n is accepted
-    else:
-        assert not passes(n, bound + 1, t_activate)

@@ -146,8 +146,8 @@ def test_potential_worked_example():
     seq = potential_sequence((1, 1, 2, 2), 21)
     assert seq.elements == (1, -1, 1, 1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
                             1, -1, -1, 1, 1, 1)
-    assert sidelobes(seq).values == (1, 0, 1, 0, 1, 0, -5, 0, 3, 0,
-                                     -1, 0, 0, 0, 0, 0, 0, 0, -4, 0)
+    assert sidelobes(seq) == (1, 0, 1, 0, 1, 0, -5, 0, 3, 0,
+                              -1, 0, 0, 0, 0, 0, 0, 0, -4, 0)
     assert energy(seq) == report.potential
 
 
@@ -160,7 +160,7 @@ def test_potential_tail_normalization_exact():
         r = potential(parts)
         assert r.normalized <= r.potential
         seq = potential_sequence(parts, r.eval_length)
-        values = sidelobes(seq).values
+        values = sidelobes(seq)
         assert all(v % 2 == 0 for v in values[-k:])
 
 

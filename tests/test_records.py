@@ -64,6 +64,17 @@ def test_dataset_parse_errors(tmp_path):
         load_dataset(str(tmp_path / "missing.psv"))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# a comment\n", "no rows"),
+    ("# a comment\nn|class|hex|old_mf|new_mf|source_table\n\n", "no record rows"),
+], ids=["comment-only", "header-only"])
+def test_dataset_without_records_is_parse_error(tmp_path, text, message):
+    empty = tmp_path / "empty.psv"
+    empty.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        load_dataset(str(empty))
+
+
 def _entry(entries, n, expr=None):
     rows = [e for e in entries if e.n == n and (expr is None or e.class_expr == expr)]
     assert rows, (n, expr)

@@ -31,10 +31,10 @@ repeat takes about SCAN_REPEAT_S.  Single-threaded:
   length 22, the skew-symmetric ones of length 31) and `best_partition`
   at PARTITION_SCAN = (68, 7) for both objectives.
 
-The `run` and `exact` rows also store each tree's answer (the flip count
-and the sha256 of the event stream; the merit factor as a reduced
-[num, den] and the witness hex; the best partition) and whether the two
-are equal.  The result is written to the JSON file `--out` (default
+The `run` and `exact` rows also store each tree's answer (the flip and
+probe counts and the sha256 of the event stream; the merit factor as a
+reduced [num, den] and the witness hex; the best partition) and whether
+the two are equal.  The result is written to the JSON file `--out` (default
 BENCH_scan.json at the root of the repository).
 """
 
@@ -189,7 +189,8 @@ def time_run(lk, n: int):
         h = hashlib.sha256()
         for ev in events:
             h.update(json.dumps(ev, sort_keys=True, separators=(",", ":")).encode() + b"\n")
-        return {"flips": result.stats.flips, "events_sha256": h.hexdigest()}
+        return {"flips": result.stats.flips, "probes": result.stats.probes,
+                "events_sha256": h.hexdigest()}
 
     return run
 
