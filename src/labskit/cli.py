@@ -19,10 +19,9 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
-from .core import BinarySequence, energy, sidelobes
+from .core import BinarySequence, energy, merit_factor_of, sidelobes
 from .errors import DomainError, LabsError, ParseError
 from .partitions import best_partition, format_potential_table, scan_potentials
 from .records import (DEFAULT_TOLERANCE, classify, decode_hex, encode_hex,
@@ -53,20 +52,18 @@ def _emit(record: dict, human: bool) -> None:
 
 
 def _cmd_eval(args) -> int:
-    if args.hex is not None:
-        if args.n is None:
-            raise ParseError("--hex needs --n for the target length")
-        seq = decode_hex(args.hex, args.n)
-    elif args.sequence is not None:
-        seq = BinarySequence.from_text(args.sequence)
-    else:
-        raise ParseError("give a sequence as text or as --hex with --n")
+    if (args.sequence is None) == (args.hex is None):
+        raise ParseError("give one sequence: as text, or as --hex with --n")
+    if (args.hex is None) != (args.n is None):
+        raise ParseError("--n is the length of a --hex payload, and --hex needs it")
+    seq = (BinarySequence.from_text(args.sequence) if args.hex is None
+           else decode_hex(args.hex, args.n))
     e = energy(seq)
     record = {
         "command": "eval",
         "n": seq.n,
         "energy": e,
-        **mf_fields(Fraction(seq.n * seq.n, 2 * e)),
+        **mf_fields(merit_factor_of(seq.n, e)),
         "classification": classify(seq),
         "hex": encode_hex(seq),
     }

@@ -212,6 +212,11 @@ def energy(seq: Sequence) -> int:
     return sum(c * c for c in _all_correlations(seq))
 
 
+def merit_factor_of(n: int, e: int) -> Fraction:
+    """MF = n^2 / (2E) as an exact rational, from the length and energy."""
+    return Fraction(n * n, 2 * e)
+
+
 def merit_factor(seq: BinarySequence) -> Fraction:
     """MF = n^2 / (2E) as an exact rational.
 
@@ -222,4 +227,4 @@ def merit_factor(seq: BinarySequence) -> Fraction:
     if not isinstance(seq, BinarySequence):
         raise DomainError("merit factor is defined for binary sequences")
     n = _require_metric_length(seq)
-    return Fraction(n * n, 2 * energy(seq))
+    return merit_factor_of(n, energy(seq))

@@ -57,7 +57,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import BinarySequence, sidelobes
+from .core import BinarySequence, merit_factor_of, sidelobes
 from .errors import DomainError
 from .skew import SkewSearchState, is_skew_symmetric
 from .symmetry import EtaOp, apply_eta
@@ -81,7 +81,7 @@ class PssProbe:
 
     @property
     def merit_factor(self) -> Fraction:
-        return Fraction(self.length * self.length, 2 * self.energy)
+        return merit_factor_of(self.length, self.energy)
 
 
 def is_pseudo_skew_symmetric(seq: BinarySequence) -> bool:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .core import BinarySequence, _check_length, energy
+from .core import BinarySequence, _check_length, energy, merit_factor_of
 from .errors import DomainError, ParseError
 from .pseudo import is_pseudo_skew_symmetric
 from .skew import is_skew_symmetric
@@ -163,8 +163,7 @@ def verify_entry(entry: RecordEntry, tolerance: float = DEFAULT_TOLERANCE) -> Ve
             match=False, rel_error=None, classification=None, detail=str(exc),
         )
     e = energy(seq)
-    mf = Fraction(entry.n * entry.n, 2 * e)
-    computed = float(mf)
+    computed = float(merit_factor_of(entry.n, e))
     if not 0 < entry.new_mf < math.inf:
         return VerificationReport(
             entry=entry, length_ok=True, energy=e, computed_mf=computed,

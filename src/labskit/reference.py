@@ -1,11 +1,13 @@
 """Scalar reference implementations used as oracles in tests.
 
 Plain Python integer arithmetic over +-1/0 element lists, independent
-of numpy and of the bit-packed kernels in `labskit.core`.  The per-lag
-sums are deliberately naive O(n^2); `ref_energy` takes every lag from
-one exact product of Python integers, and a test checks it against the
-per-lag sums.  `ref_walk` restates the solver's walk rule by rule; it
-shares only the seeded generator and `sample_member` with it.
+of the bit-packed kernels in `labskit.core` and of the walk state in
+`labskit.skew`.  The per-lag sums are deliberately naive O(n^2);
+`ref_energy` takes every lag from one exact product of Python integers,
+and a test checks it against the per-lag sums.  `ref_flip_deltas` sums
+the one-row form of a paired flip's energy change from those lags, in
+int64 numpy rows.  `ref_walk` restates the solver's walk rule by rule;
+it shares only the seeded generator and `sample_member` with it.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ def ref_sidelobes(elements: Sequence[int]) -> list:
     return [ref_autocorrelation(elements, n - 1 - i) for i in range(n - 1)]
 
 
-def ref_energy(elements: Sequence[int]) -> int:
-    """Sum of C_u^2 over u = 1..n-1, exact, for n < 2^30.
+def _ref_correlations(elements: Sequence[int]) -> list:
+    """[C_0, ..., C_{n-1}], exact, for 1 <= n < 2^30.
 
     Kronecker substitution: with the digits d_i = e_i + 1 in {0, 1, 2}
     packed in base 2^32, the product of the digit number with its
@@ -44,15 +46,48 @@ def ref_energy(elements: Sequence[int]) -> int:
     """
     e = [int(x) for x in elements]
     n = len(e)
-    if n < 2:
-        return 0
     digits = [x + 1 for x in e]
     forward = int.from_bytes(struct.pack(f"<{n}I", *digits), "little")
     backward = int.from_bytes(struct.pack(f"<{n}I", *digits[::-1]), "little")
     d = struct.unpack(f"<{2 * n - 1}I", (forward * backward).to_bytes(8 * n - 4, "little"))
     prefix = [0, *accumulate(e)]  # prefix[k] = sum of e_i over i < k
-    return sum((d[n - 1 - u] - (n - u) - prefix[n - u] - prefix[n] + prefix[u]) ** 2
-               for u in range(1, n))
+    return [d[n - 1 - u] - (n - u) - prefix[n - u] - prefix[n] + prefix[u] for u in range(n)]
+
+
+def ref_energy(elements: Sequence[int]) -> int:
+    """Sum of C_u^2 over u = 1..n-1, exact, for n < 2^30."""
+    if len(elements) < 2:
+        return 0
+    return sum(c * c for c in _ref_correlations(elements)[1:])
+
+
+def ref_flip_deltas(elements: Sequence[int]) -> list:
+    """E(after flip at q) - E(now) for every q = 0..l of a skew-symmetric
+    sequence of odd length n = 2l+1, exact, one row at a time.
+
+    Flipping q < l flips its partner p = n-1-q too; only the even shifts
+    u change, through the products with exactly one flipped end:
+
+        T_u = f_q * b_q * (b_{q+u} + b_{q-u}),   f_q = 2 (1 at the centre),
+        E'  = E + 4 * sum_u T_u * (T_u - C_u),
+
+    on a zero-padded sequence, with b_q*b_p left out of T_u at
+    u = n-1-2q, where both ends flip (derived in `labskit.skew`).  C comes
+    from the elements, and the rows are exact int64.
+    """
+    n, l = len(elements), len(elements) // 2
+    c = np.array(_ref_correlations(elements)[2::2], dtype=np.int64)  # C_u, u = 2, 4, .., n-1
+    e = np.array(elements, dtype=np.int64)
+    padded = np.pad(e, n - 1)
+    deltas = []
+    for q in range(l + 1):
+        # b_{q+u} and b_{q-u} sit at padded indices n-1+q+u and n-1+q-u
+        t = padded[n + 1 + q : 2 * n - 1 + q : 2] + padded[q : n - 2 + q : 2][::-1]
+        if q < l:
+            t[l - 1 - q] -= e[n - 1 - q]
+        t *= (1 if q == l else 2) * e[q]
+        deltas.append(int(4 * np.dot(t, t - c)))
+    return deltas
 
 
 def ref_walk(config) -> Iterator[tuple]:

@@ -29,7 +29,7 @@ b_p*b_{p+u} = b_{q-u}*b_q, so the four products fold into
 on a zero-padded sequence, minus the term pairing q with p itself
 (u = n-1-2q, both endpoints flipped, hence unchanged).  The center q = l
 flips a single bit and takes the factor f_q = 1 instead of 2.
-`flip_delta` sums that one row of T_u.
+`labskit.reference.ref_flip_deltas` sums that one row of T_u per q.
 
 `flip_deltas` scores every neighbour of a walk step at once by
 expanding the square instead (b_q^2 = 1):
@@ -112,9 +112,10 @@ every per-flip sum above are integers of magnitude at most about n^2
 so float64 holds them exactly in any summation order.  A full energy
 sum can reach about n^3/3, above 2^53 for n near `core.MAX_LENGTH`, so
 the energies of a fresh state and of a recompute square and sum the
-correlations in int64.  Exactness is enforced against the one-row form,
-full recomputation and a fresh rebuild of the rows in the test suite,
-and optionally at runtime via LABSKIT_DEBUG_VERIFY=1.
+correlations in int64.  The test suite checks every score against
+`reference.ref_flip_deltas`, which builds its own C from the elements,
+and against full recomputation, and the kept rows against a fresh
+rebuild; LABSKIT_DEBUG_VERIFY=1 rechecks at runtime.
 
 `exhaustive_best` scores blocks of `EXHAUSTIVE_BLOCK` packed values as
 position-major (n, B) int32 columns (skew halves expanded along the
@@ -131,7 +132,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import BinarySequence, _check_binary, lag_products
+from .core import BinarySequence, _check_binary, lag_products, merit_factor_of
 from .errors import DomainError
 
 #: When set (env LABSKIT_DEBUG_VERIFY=1), every apply_flip re-derives the
@@ -248,19 +249,6 @@ class SkewSearchState:
         packed = int.from_bytes(np.packbits(self.e > 0).tobytes(), "big")
         return BinarySequence(packed >> (-self.n % 8), self.n)
 
-    def _terms(self, q: int) -> np.ndarray:
-        """T_u for flipping q, u = 2, 4, .., n-1; raises for q outside [0, l]."""
-        n, l = self.n, self.l
-        if not 0 <= q <= l:
-            raise DomainError(f"flip index {q} out of range [0, {l}]")
-        # b_{q+u} and b_{q-u} sit at padded indices n-1+q+u and n-1+q-u
-        t = self._padded[n + 1 + q : 2 * n - 1 + q : 2] + self._padded[q : n - 2 + q : 2][::-1]
-        if q < l:
-            # at u = n-1-2q the product b_q*b_p has both ends flipped: unchanged
-            t[l - 1 - q] -= self.e[n - 1 - q]
-        t *= (1 if q == l else 2) * self.e[q]
-        return t
-
     def flip_deltas(self) -> np.ndarray:
         """E(after flip at q) - E(now) for every q = 0..l, exact, without
         mutating, as a fresh int64 array.
@@ -304,11 +292,11 @@ class SkewSearchState:
                 (self.n + 1) * int(self.e[0]) - int(a[1]))
 
     def flip_delta(self, q: int) -> int:
-        """E(after flip at q) - E(now), exact, without mutating.
-
-        Sums the one row of `_terms`, independently of `flip_deltas`."""
-        t = self._terms(q)
-        return int(4 * np.dot(t, t - self.c[2::2]))
+        """E(after flip at q) - E(now), exact, without mutating: entry q
+        of the scan."""
+        if not 0 <= q <= self.l:
+            raise DomainError(f"flip index {q} out of range [0, {self.l}]")
+        return int(self._scan()[q])
 
     def apply_flip(self, q: int) -> None:
         """Flip position q (pairing with n-1-q for q < l), in place.  The
@@ -498,4 +486,4 @@ def exhaustive_best(n: int, skew_only: bool = False) -> Tuple[Fraction, BinarySe
         if best_e is None or energies[idx] < best_e:
             best_e = int(energies[idx])
             best_seq = BinarySequence.from_elements(x[:, idx].tolist())
-    return Fraction(n * n, 2 * best_e), best_seq
+    return merit_factor_of(n, best_e), best_seq

@@ -41,7 +41,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import BinarySequence, _check_length
+from .core import BinarySequence, _check_length, merit_factor_of
 from .errors import DomainError
 from .partitions import project_partition, sample_member
 # The walk takes all four probe energies from one probe_table call.
@@ -56,6 +56,12 @@ from .symmetry import apply_eta
 POLICY_SELF_AVOIDING = "self-avoiding-best"
 POLICY_STRICT_DESCENT = "strict-descent"
 POLICIES = (POLICY_SELF_AVOIDING, POLICY_STRICT_DESCENT)
+
+
+def _check_policy(policy: str) -> None:
+    if policy not in POLICIES:
+        raise DomainError(f"policy must be one of {POLICIES}, got {policy!r}")
+
 
 _M64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -108,8 +114,7 @@ class SolverConfig:
             raise DomainError(f"worker count must be >= 1, got {self.workers}")
         if self.time_limit is not None and not self.time_limit > 0:
             raise DomainError(f"time limit must be positive, got {self.time_limit}")
-        if self.policy not in POLICIES:
-            raise DomainError(f"policy must be one of {POLICIES}, got {self.policy!r}")
+        _check_policy(self.policy)
 
     @property
     def order(self) -> int:
@@ -167,6 +172,7 @@ def pick_better_neighbor(state: SkewSearchState, visited: set, policy: str,
     energy changes and, while that neighbor is in `visited`, masks its
     entry and takes the `argmin` again.
     """
+    _check_policy(policy)
     if not 0 <= first <= state.l + 1:
         raise DomainError(f"first flip index {first} out of range [0, {state.l + 1}]")
     deltas = state.flip_deltas()[first:]  # a fresh array, so the masking is private
@@ -258,7 +264,7 @@ def _consume(config: SolverConfig, worker_id: int, emit: Callable[[dict], None],
     start = time.monotonic()
     try:
         for length, energy, seq in walk(config, worker_id, stats, stop):
-            mf = Fraction(length * length, 2 * energy)
+            mf = merit_factor_of(length, energy)
             setattr(best, slots[length], BestRecord(mf, seq, time.monotonic() - start))
             emit(_event("improvement", length, mf, seq, stats.flips, stats.restarts,
                         worker_id))

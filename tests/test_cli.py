@@ -57,6 +57,11 @@ def test_eval_bad_input(capsys):
     assert code == 2
     code, _ = run_main(capsys, "eval", "--hex", "ff")  # missing --n
     assert code == 2
+    # text with --hex, and --n without --hex: input that would be dropped
+    for argv in (("++", "--hex", "5", "--n", "3"), ("++", "--n", "7")):
+        assert main(["eval", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_eval_hex_bad_length_names_the_length(capsys):

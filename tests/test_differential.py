@@ -2,13 +2,15 @@
 reference implementations, over random odd lengths 3..151 (the
 neighbour scan up to 2001)."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from labskit.pseudo import boundary_sums, probe, probe_energies, probe_table
-from labskit.reference import ref_energy
+from labskit.reference import ref_energy, ref_flip_deltas
 from labskit.skew import SkewHalf, SkewSearchState, expand
 from labskit.solver import (POLICIES, POLICY_STRICT_DESCENT, hash_half_bits,
                             pick_better_neighbor)
@@ -32,14 +34,33 @@ def flipped(elements, q):
 
 
 def check_scan(state, qs, ref_qs):
-    """`flip_deltas` at every q of `qs` equals the one-row `flip_delta`,
+    """`flip_deltas` at every q of `qs` equals the one-row `ref_flip_deltas`,
     and full recomputation at each of `ref_qs`."""
     deltas = dict(zip(qs, state.flip_deltas()[qs].tolist()))
-    assert deltas == {q: state.flip_delta(q) for q in qs}
     elements = [int(x) for x in state.e]
+    one_row = ref_flip_deltas(elements)
+    assert deltas == {q: one_row[q] for q in qs}
     assert state.energy == ref_energy(elements)
     for q in ref_qs:
         assert deltas[q] == ref_energy(flipped(elements, q)) - state.energy
+
+
+@pytest.mark.parametrize("n", range(1, 16, 2))
+def test_ref_flip_deltas_match_recompute_for_every_half(n):
+    for half in product((1, -1), repeat=n // 2 + 1):
+        elements = expand(SkewHalf(half)).elements
+        before = ref_energy(elements)
+        assert ref_flip_deltas(elements) == [ref_energy(flipped(elements, q)) - before
+                                             for q in range(n // 2 + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(half=skew_halves(max_l=100))
+def test_ref_flip_deltas_match_recompute_up_to_201(half):
+    elements = expand(half).elements
+    before = ref_energy(elements)
+    assert ref_flip_deltas(elements) == [ref_energy(flipped(elements, q)) - before
+                                         for q in range(half.l + 1)]
 
 
 def edge_rows(l, qs):
@@ -166,11 +187,12 @@ def test_apply_flip_without_scan_matches_scanned(case):
 
 def loop_pick(state, visited, policy, indices):
     """The per-candidate scan: best unvisited energy, first index on ties."""
+    one_row = ref_flip_deltas(state.sequence().elements)
     best_q = best_energy = None
     for q in indices:
         if hash_half_bits(state.half_bits ^ (1 << q), state.l + 1) in visited:
             continue
-        energy = state.energy + state.flip_delta(q)
+        energy = state.energy + one_row[q]
         if best_energy is None or energy < best_energy:
             best_q, best_energy = q, energy
     if best_q is None:
@@ -192,7 +214,8 @@ def test_pick_matches_loop_and_skips_visited(half, data, policy):
     assert q == loop_pick(state, visited, policy, free)
     if q is not None:
         assert q not in seen
-        deltas = {p: state.flip_delta(p) for p in free if p not in seen}
+        one_row = ref_flip_deltas(state.sequence().elements)
+        deltas = {p: one_row[p] for p in free if p not in seen}
         assert q == min(p for p in deltas if deltas[p] == min(deltas.values()))
         if policy == POLICY_STRICT_DESCENT:
             assert deltas[q] < 0
@@ -233,7 +256,8 @@ def test_pick_argmin_tries_match_loop_over_visited_prefixes(case):
     state = SkewSearchState(half)
     qs = range(first, state.l + 1)
     deltas = state.flip_deltas()
-    order = sorted(qs, key=lambda q: (state.flip_delta(q), q))
+    one_row = ref_flip_deltas(state.sequence().elements)
+    order = sorted(qs, key=lambda q: (one_row[q], q))
     keys = [hash_half_bits(state.half_bits ^ (1 << q), state.l + 1) for q in order]
     for m in range(len(qs) + 1):
         visited = set(keys[:m])

@@ -93,6 +93,10 @@ def test_pick_better_neighbor_contracts():
         for first in (-1, st.l + 2):
             with pytest.raises(DomainError, match="out of range"):
                 pick_better_neighbor(st, set(), policy, first)
+    # an unknown policy is refused too, not run as self-avoiding
+    for policy in ("strict_descent", "", None):
+        with pytest.raises(DomainError, match="policy must be one of"):
+            pick_better_neighbor(st, set(), policy)
 
 
 def test_strict_descent_energy_decreases():
