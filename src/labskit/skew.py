@@ -78,7 +78,8 @@ P's 1/2 and C_m term into their weights.
 
 The state keeps the exact float scores of its last scan, and
 `apply_flip(q)` adds entry q to the energy: it is E' - E, computed
-already.  A flip with no scan since the last one (only tests and
+already.  The walk's pick reads the same scores and masks only a copy
+of them.  A flip with no scan since the last one (only tests and
 direct library calls make one) runs the scan first, and the first scan
 builds the rows.  With F the flipped positions ({q, n-1-q}, or {l} at
 the centre), D_f = -2*b_f, b and K before the flip, C before it and C'
@@ -92,7 +93,13 @@ after it, the rows change by
 s*dK is two windows of b and three point terms, formed in place in the
 buffer, dC a strided copy of it, and the ten windows of dA' are gathered
 from the one state buffer and summed by one matrix-vector product
-(`_row_starts`), so a walk step does no O(n^2) work.
+(`_row_starts`), so a walk step does no O(n^2) work.  The state binds
+the views a step reads once, when it builds the rows: the scan block's
+sources K_{2q}, C_m and b_{q-m}; the even lags of s*dK and dC; the
+windows of 2n-1 padded elements, of which the two of s*dK are windows q
+and n-1-q; weight rows 0 and 3; and the `_row_starts` offsets of its
+length.  A step then makes no view, and reads its scalars as Python
+ints: b_q and b_0 from `half_bits`, its score with `item`.
 
 A' is kept from q = -1 on, A'_{-1} = sum_v C_v * b_{v-1}, because the
 pseudo-skew probes read their sums from it (`boundary_sums`; the
@@ -115,7 +122,10 @@ the energies of a fresh state and of a recompute square and sum the
 correlations in int64.  The test suite checks every score against
 `reference.ref_flip_deltas`, which builds its own C from the elements,
 and against full recomputation, and the kept rows against a fresh
-rebuild; LABSKIT_DEBUG_VERIFY=1 rechecks at runtime.
+rebuild.  LABSKIT_DEBUG_VERIFY=1 rechecks at runtime, after every flip:
+C, the energy and the elements against `half_bits`, and, once the rows
+are built, A', K and the weights against a fresh state's (`_verify`
+also compares kept scores with a fresh scan).
 
 `exhaustive_best` scores blocks of `EXHAUSTIVE_BLOCK` packed values as
 position-major (n, B) int32 columns (skew halves expanded along the
@@ -136,8 +146,8 @@ from .core import BinarySequence, _check_binary, lag_products, merit_factor_of
 from .errors import DomainError
 
 #: When set (env LABSKIT_DEBUG_VERIFY=1), every apply_flip re-derives the
-#: correlation array, the energy and the scan rows from scratch and
-#: asserts agreement.
+#: correlation array, the energy, the elements, the scan rows and the
+#: weights from scratch and asserts agreement.
 DEBUG_VERIFY = os.environ.get("LABSKIT_DEBUG_VERIFY", "") not in ("", "0")
 
 #: Packed values per block of exhaustive_best.
@@ -204,11 +214,13 @@ class SkewSearchState:
     state also keeps the scan's row A' (from q = -1) and the
     self-convolution K in step with every flip, and each scan reads P
     from K and C (module docstring).  Every array is a view into one
-    float64 buffer of exact integers; the energy is a Python int.
+    float64 buffer of exact integers; the energy is a Python int.  The
+    first scan also binds the views every later scan and flip reads.
     """
 
     __slots__ = ("n", "l", "e", "c", "energy", "half_bits", "_padded", "_c_mirror", "_dc",
-                 "_k", "_sdk", "_a", "_block", "_weights", "_window", "_scores")
+                 "_k", "_sdk", "_a", "_block", "_weights", "_window", "_scores", "_copies",
+                 "_even", "_padded_window", "_w0", "_w3", "_starts")
 
     def __init__(self, half: SkewHalf):
         self.l = l = half.l
@@ -262,24 +274,37 @@ class SkewSearchState:
     def _scan(self) -> np.ndarray:
         """The exact energy changes of `flip_deltas` as float64, kept
         for the next `apply_flip`."""
-        n, l = self.n, self.l
         if self._weights is None:
             self._build_rows()
-        block = self._block
-        block[1] = self._k[0 : n : 2]  # K_{2q}
-        block[2] = self._c_mirror[0:n:2]  # C_m at the mirror shift m = n-1-2q
-        block[3] = self._padded[0 : 3 * l + 1 : 3]  # b_{q-m}, 0 below the sequence
-        self._scores = np.einsum("ij,ij->j", self._weights, block)
+        for row, source in self._copies:
+            row[...] = source
+        self._scores = np.einsum("ij,ij->j", self._weights, self._block)
         return self._scores
 
     def _build_rows(self) -> None:
-        """Build A' and K from scratch and start keeping them in step."""
-        x = self._padded.base
+        """Build A' and K from scratch, start keeping them in step, and
+        bind the views that the scan and `apply_flip` read."""
+        n, l = self.n, self.l
+        x, padded = self._padded.base, self._padded
         self._a[:], self._k[:] = _scan_rows(x, self._c_mirror)
         self._block[4] = 1
-        self._weights = _scan_weights(self.n).copy()
-        self._weights[0::3] *= self.e[: self.l + 1]
-        self._window = np.lib.stride_tricks.sliding_window_view(x, self.l + 2)
+        self._weights = _scan_weights(n).copy()
+        self._weights[0::3] *= self.e[: l + 1]
+        self._w0, self._w3 = self._weights[0], self._weights[3]
+        # scan block rows 1 to 3 and what each scan copies into them: K_{2q},
+        # C_m at the mirror shift m = n-1-2q, and b_{q-m} (0 below the sequence)
+        self._copies = tuple(zip(self._block[1:4], (self._k[0:n:2], self._c_mirror[0:n:2],
+                                                    padded[0 : 3 * l + 1 : 3])))
+        self._even = (self._sdk[::2], self._dc[::2])
+        # windows of 2n-1 padded elements, window i holding b_{j+i-(n-1)} at
+        # j, and of l+2 buffer entries; as_strided makes each in a third of
+        # sliding_window_view's time, which a restart at small n would notice
+        step = x.strides[0]
+        self._padded_window = np.lib.stride_tricks.as_strided(
+            padded, (n, 2 * n - 1), (step, step), writeable=False)
+        self._window = np.lib.stride_tricks.as_strided(
+            x, (x.shape[0] - l - 1, l + 2), (step, step), writeable=False)
+        self._starts = _row_starts(n)
 
     def boundary_sums(self) -> tuple:
         """The sums (a, d) of `pseudo.boundary_sums`, in O(1) from A'_{-1}
@@ -288,8 +313,9 @@ class SkewSearchState:
         if self._weights is None:
             self._build_rows()
         a = self._a
-        return (int(a[0]) if self.l % 2 else -int(a[0]),
-                (self.n + 1) * int(self.e[0]) - int(a[1]))
+        a_prev = int(a.item(0))
+        return (a_prev if self.l % 2 else -a_prev,
+                (self.n + 1) * (1 if self.half_bits & 1 else -1) - int(a.item(1)))
 
     def flip_delta(self, q: int) -> int:
         """E(after flip at q) - E(now), exact, without mutating: entry q
@@ -306,47 +332,60 @@ class SkewSearchState:
         if not 0 <= q <= l:
             raise DomainError(f"flip index {q} out of range [0, {l}]")
         scores = self._scan() if self._scores is None else self._scores
-        self.energy += int(scores[q])
+        self.energy += int(scores.item(q))
         self._scores = None
-        b = self.e[q]
+        b = 1 if self.half_bits >> q & 1 else -1
         s = 1 - 2 * ((l - q) & 1)  # b_p = s*b_q by the skew rule; 1 at the centre
-        padded, sdk = self._padded, self._sdk
+        windows, sdk = self._padded_window, self._sdk
         # K_i changes by -4*b_q*(b_{i-q} + s*b_{i-p}) plus the point terms
         # D_f*D_g at i = f+g; sdk holds s times that change, which is C's
         # change at the even i
         if q < l:
-            (np.add if s > 0 else np.subtract)(padded[q : q + 2 * n - 1],
-                                               padded[n - 1 - q : 3 * n - 2 - q], out=sdk)
+            (np.add if s > 0 else np.subtract)(windows[q], windows[n - 1 - q], out=sdk)
             sdk *= -4 * b
             sdk[4 * l - 2 * q] += 4 * s
             sdk[2 * l] += 8
         else:
-            np.multiply(padded[n - 1 - q : 3 * n - 2 - q], -4 * b, out=sdk)
+            np.multiply(windows[n - 1 - q], -4 * b, out=sdk)
         sdk[2 * q] += 4 * s
-        self._dc[::2] = sdk[::2]  # the odd lags stay 0
+        sdk_even, dc_even = self._even
+        dc_even[...] = sdk_even  # the odd lags stay 0
         # A' from C, dC, K and b before the flip, then K
-        np.dot(_ROW_COEFS[int(b), s * (q < l)], self._window[_row_starts(n)[q]], out=self._a)
+        np.dot(_ROW_COEFS[b, s * (q < l)], self._window[self._starts[q]], out=self._a)
         (np.add if s > 0 else np.subtract)(self._k, sdk, out=self._k)
-        w = self._weights
-        w[0, q] = -w[0, q]
-        w[3, q] = -w[3, q]
+        w0, w3 = self._w0, self._w3
+        w0[q] = -w0[q]
+        w3[q] = -w3[q]
         self._c_mirror += self._dc
-        for i in ((q,) if q == l else (q, n - 1 - q)):
-            self.e[i] = -self.e[i]
+        e = self.e
+        e[q] = -b
+        if q < l:
+            e[n - 1 - q] = -s * b
         self.half_bits ^= 1 << q
         if DEBUG_VERIFY:
             self._verify()
 
     def _verify(self) -> None:
+        """Re-derive from the elements everything the state keeps and
+        raise AssertionError where it differs."""
         corr = np.correlate(self.e, self.e, mode="full")
         if not np.array_equal(corr, self._c_mirror):
             raise AssertionError("incremental correlations diverged from recompute")
         if self.energy != _energy(corr[self.n - 1 :]):
             raise AssertionError("incremental energy diverged from recompute")
+        packed = np.frombuffer(self.half_bits.to_bytes(self.l // 8 + 1, "little"), np.uint8)
+        bits = np.unpackbits(packed, count=self.l + 1, bitorder="little")
+        if not np.array_equal(self.e[: self.l + 1], 2.0 * bits - 1):
+            raise AssertionError("elements diverged from half_bits")
         if self._weights is not None:
-            a, k = _scan_rows(self._padded.base, self._c_mirror)
-            if not (np.array_equal(a, self._a) and np.array_equal(k, self._k)):
+            fresh = SkewSearchState(self.half())
+            scores = fresh._scan()  # builds the rows and the weights from scratch
+            if not (np.array_equal(fresh._a, self._a) and np.array_equal(fresh._k, self._k)):
                 raise AssertionError("maintained scan rows diverged from rebuild")
+            if not np.array_equal(fresh._weights, self._weights):
+                raise AssertionError("maintained scan weights diverged from rebuild")
+            if self._scores is not None and not np.array_equal(scores, self._scores):
+                raise AssertionError("kept scores diverged from a fresh scan")
 
 
 def _offsets(n: int) -> tuple:

@@ -6,13 +6,18 @@ position q in [k, l] (pairing with n-1-q to preserve skew-symmetry).
 Per restart the search keeps a visited hash set and walks to the best
 unvisited neighbor (optionally only strictly improving ones) until the
 neighborhood is exhausted or the inner move budget runs out.  A step
-scores every position in O(n) (`SkewSearchState.flip_deltas`) and picks
-by `argmin`, masking visited entries (`pick_better_neighbor`).  Once a
-state clears the activation threshold, its four adjacent pseudo-skew
-candidates of lengths n-1 and n+1 (`pseudo.PROBE_EDITS`) are probed
-through closed-form deltas, whose two sums the state reads from its
-rows in O(1) (`SkewSearchState.boundary_sums`), so one run keeps best
-candidates at three lengths.  A state clears the threshold when
+scores every position in O(n) (the scan of `SkewSearchState.flip_deltas`)
+and picks by `argmin` over the float scores the state keeps, masking
+visited entries in a copy (`pick_better_neighbor`).  The pick hands the
+walk the visited key of the state it picks, so a flip computes one key.
+Once a state clears the activation threshold, its four adjacent
+pseudo-skew candidates of lengths n-1 and n+1 (`pseudo.PROBE_EDITS`) are
+probed through closed-form deltas, whose two sums the state reads from
+its rows in O(1) (`SkewSearchState.boundary_sums`), so one run keeps
+best candidates at three lengths.  The walk counts four probes but
+compares three: n3 (strip the first element) always costs what n4
+(strip the last) costs, and n4 is compared first with a strict `<`, so
+n3 could never record.  A state clears the threshold when
 float(n^2 / (2E)) >= t_activate, the merit factor's definition.  At a
 fixed length a higher merit factor is a lower energy, so the walk
 keeps integer energies and builds a `Fraction` only for an improvement
@@ -157,10 +162,6 @@ class SolverResult:
     metadata: dict = field(default_factory=dict)
 
 
-#: the value a tried delta is masked with; every real delta is below it
-_MASKED = np.iinfo(np.int64).max
-
-
 def pick_better_neighbor(state: SkewSearchState, visited: set, policy: str,
                          first: int = 0) -> Optional[int]:
     """Index q in [`first`, l] of the best unvisited single-flip neighbor,
@@ -175,14 +176,28 @@ def pick_better_neighbor(state: SkewSearchState, visited: set, policy: str,
     _check_policy(policy)
     if not 0 <= first <= state.l + 1:
         raise DomainError(f"first flip index {first} out of range [0, {state.l + 1}]")
-    deltas = state.flip_deltas()[first:]  # a fresh array, so the masking is private
-    for _ in range(deltas.shape[0]):
-        i = int(deltas.argmin())
+    return _pick(state, visited, policy == POLICY_STRICT_DESCENT, first)[0]
+
+
+def _pick(state: SkewSearchState, visited: set, strict: bool, first: int) -> tuple:
+    """The q that `pick_better_neighbor` picks and the visited key of the
+    state a flip at q leads to, or (None, None).  Reads the state's kept
+    float scores: exact integers, so their `argmin` is the int64 one, ties
+    included.  From the first visited hit on it masks a copy, so the
+    scores that `apply_flip` reads stay intact."""
+    scores = state._scan()[first:]
+    half_len, bits = state.l + 1, state.half_bits
+    masked = False
+    for _ in range(scores.shape[0]):
+        i = int(scores.argmin())
         q = first + i
-        if hash_half_bits(state.half_bits ^ (1 << q), state.l + 1) not in visited:
-            return None if policy == POLICY_STRICT_DESCENT and deltas[i] >= 0 else q
-        deltas[i] = _MASKED
-    return None
+        key = hash_half_bits(bits ^ (1 << q), half_len)
+        if key not in visited:
+            return (None, None) if strict and scores.item(i) >= 0 else (q, key)
+        if not masked:
+            scores, masked = scores.copy(), True
+        scores[i] = math.inf
+    return None, None
 
 
 def _event(kind: str, target_n: int, mf: Fraction, seq: BinarySequence,
@@ -210,9 +225,12 @@ def walk(config: SolverConfig, worker_id: int, stats: RunStats, stop=None):
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=(config.seed & _M64, worker_id)))
     first = config.order  # the walk flips positions first..l
-    nn = n * n
-    # (length, edit) of what a state scores: itself, then its four probes
-    candidates = [(n, None)] + [(n + op.length_change, op) for op in PROBE_EDITS]
+    strict = config.policy == POLICY_STRICT_DESCENT
+    nn, ta = n * n, config.t_activate
+    # (length, edit) of what a state scores: itself, then its probes but n3,
+    # whose energy equals n4's, scored before it with a strict comparison
+    own = [(n, None)]
+    candidates = own + [(n + op.length_change, op) for op in PROBE_EDITS if op.index != 3]
     # best energy so far per length; at one length, lower energy = higher MF
     best_energy = {length: math.inf for length, _ in candidates}
     deadline = math.inf if config.time_limit is None else time.monotonic() + config.time_limit
@@ -227,23 +245,24 @@ def walk(config: SolverConfig, worker_id: int, stats: RunStats, stop=None):
             visited = {hash_state(state)}
             w_i = 0
         else:
-            q = pick_better_neighbor(state, visited, config.policy, first)
+            q, key = _pick(state, visited, strict, first)
             if q is None:
                 restart = True
                 continue
             state.apply_flip(q)
             stats.flips += 1
             w_i += 1
-            visited.add(hash_state(state))
+            visited.add(key)
         # the state itself and, once it has moved and while it clears the
-        # activation threshold, its four adjacent-length probes; int / int
-        # is correctly rounded, so this is float(Fraction(n*n, 2E)) >= ta
-        probing = w_i and nn / (2 * state.energy) >= config.t_activate
+        # activation threshold, its adjacent-length probes; int / int is
+        # correctly rounded, so this is float(Fraction(n*n, 2E)) >= ta
+        probing = w_i and nn / (2 * state.energy) >= ta
         if probing:
             stats.probes += len(PROBE_EDITS)
-            energies = probe_table(n, state.energy, int(state.e[0]), *state.boundary_sums())[1]
+            energies = probe_table(n, state.energy, 1 if state.half_bits & 1 else -1,
+                                   *state.boundary_sums())[1]
         base = None
-        for length, op in candidates if probing else candidates[:1]:
+        for length, op in candidates if probing else own:
             energy = state.energy if op is None else energies[op.index]
             if energy < best_energy[length]:
                 best_energy[length] = energy

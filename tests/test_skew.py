@@ -218,6 +218,29 @@ def test_debug_verify_walk_checks_correlations(monkeypatch):
             st.apply_flip(3)
 
 
+@pytest.mark.parametrize("row", ["_w0", "_w3"])
+def test_debug_verify_checks_weights_scores_and_elements(monkeypatch, row):
+    """A weight sign flipped through the view a flip updates, kept scores
+    off by one, and elements that disagree with `half_bits` each raise."""
+    monkeypatch.setattr(skew, "DEBUG_VERIFY", True)
+    st = SkewSearchState(random_half(random.Random(27), 20))
+    st.flip_deltas()
+    st.apply_flip(5)
+    getattr(st, row)[7] *= -1  # column 7: the flip at 3 still adds the right energy
+    with pytest.raises(AssertionError, match="scan weights diverged"):
+        st.apply_flip(3)
+    st = SkewSearchState(random_half(random.Random(27), 20))
+    st.flip_deltas()
+    st._verify()  # a consistent state passes
+    st._scores[4] += 1
+    with pytest.raises(AssertionError, match="kept scores diverged"):
+        st._verify()
+    st = SkewSearchState(random_half(random.Random(27), 20))
+    st.half_bits ^= 1 << 20
+    with pytest.raises(AssertionError, match="elements diverged from half_bits"):
+        st._verify()
+
+
 def parity_class_rows(e):
     """P_q = sum_{j = q mod 2} b_j*b_{2q-j} for q = 0..l, from the
     self-convolution of each parity class of the sequence `e`."""
