@@ -280,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="odd target length")
     p.add_argument("--partition", required=True, help="comma list, e.g. 6,3,3")
     p.add_argument("--ti", type=int, default=SolverConfig.t_inner,
-                   help="inner move budget: at most TI+1 flips per restart")
+                   help="inner move budget, TI >= 1: at most TI+1 flips per restart")
     p.add_argument("--to", type=int, default=SolverConfig.t_outer,
-                   help="outer restart budget: TO+1 restarts")
+                   help="outer restart budget, TO >= 1: TO+1 restarts")
     p.add_argument("--ta", type=float, default=SolverConfig.t_activate,
                    help="merit-factor threshold activating adjacent-length probes")
     p.add_argument("--seed", type=int, default=SolverConfig.seed)

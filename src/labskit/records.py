@@ -94,13 +94,14 @@ class RecordEntry:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """One row's outcome; the defaults are those of a payload that fails to decode."""
     entry: RecordEntry
     length_ok: bool
-    energy: Optional[int]
-    computed_mf: Optional[float]
-    match: bool
-    rel_error: Optional[float]
-    classification: Optional[str]
+    energy: Optional[int] = None
+    computed_mf: Optional[float] = None
+    match: bool = False
+    rel_error: Optional[float] = None
+    classification: Optional[str] = None
     detail: str = ""
 
 
@@ -158,28 +159,16 @@ def verify_entry(entry: RecordEntry, tolerance: float = DEFAULT_TOLERANCE) -> Ve
     try:
         seq = decode_hex(entry.hex, entry.n)
     except (ParseError, DomainError) as exc:
-        return VerificationReport(
-            entry=entry, length_ok=False, energy=None, computed_mf=None,
-            match=False, rel_error=None, classification=None, detail=str(exc),
-        )
+        return VerificationReport(entry, length_ok=False, detail=str(exc))
     e = energy(seq)
     computed = float(merit_factor_of(entry.n, e))
-    if not 0 < entry.new_mf < math.inf:
-        return VerificationReport(
-            entry=entry, length_ok=True, energy=e, computed_mf=computed,
-            match=False, rel_error=None, classification=classify(seq),
-            detail=f"claimed merit factor must be a positive finite number, "
-                   f"got {entry.new_mf!r}",
-        )
-    rel = abs(computed - entry.new_mf) / entry.new_mf
+    claim_ok = 0 < entry.new_mf < math.inf
+    rel = abs(computed - entry.new_mf) / entry.new_mf if claim_ok else None
     return VerificationReport(
-        entry=entry,
-        length_ok=True,
-        energy=e,
-        computed_mf=computed,
-        match=rel <= tolerance,
-        rel_error=rel,
-        classification=classify(seq),
+        entry, length_ok=True, energy=e, computed_mf=computed,
+        match=claim_ok and rel <= tolerance, rel_error=rel, classification=classify(seq),
+        detail="" if claim_ok else f"claimed merit factor must be a positive finite "
+                                   f"number, got {entry.new_mf!r}",
     )
 
 

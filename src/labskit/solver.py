@@ -25,11 +25,11 @@ it reports.
 
 `walk` yields the improvements and one consumer turns them into best
 records and events, inline for one worker and in each process for
-more.  Workers are share-nothing processes with RNG streams derived
-from (seed, worker id); their events stream live, and the merged
-result takes the per-target maximum.  A Ctrl-C sets a shared stop, so
-every worker reports its best so far.  Single-worker runs are fully
-deterministic for a fixed seed.
+more.  Workers are share-nothing processes, each with a numpy PCG64
+stream seeded by SeedSequence(entropy=(seed, worker id)); their events
+stream live, and the merged result takes the per-target maximum.  A
+Ctrl-C sets a shared stop, so every worker reports its best so far.
+Single-worker runs are fully deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import multiprocessing as mp
 import signal
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from multiprocessing.connection import wait
 from typing import Callable, List, Optional, Tuple
@@ -121,10 +121,6 @@ class SolverConfig:
             raise DomainError(f"time limit must be positive, got {self.time_limit}")
         _check_policy(self.policy)
 
-    @property
-    def order(self) -> int:
-        return sum(self.partition)
-
 
 @dataclass(frozen=True)
 class BestRecord:
@@ -159,7 +155,6 @@ class SolverResult:
     best: BestTriple
     stats: RunStats
     events: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
 
 def pick_better_neighbor(state: SkewSearchState, visited: set, policy: str,
@@ -200,11 +195,11 @@ def _pick(state: SkewSearchState, visited: set, strict: bool, first: int) -> tup
     return None, None
 
 
-def _event(kind: str, target_n: int, mf: Fraction, seq: BinarySequence,
-           flips: int, restarts: int, worker: int) -> dict:
+def _event(mf: Fraction, seq: BinarySequence, flips: int, restarts: int,
+           worker: int) -> dict:
     return {
-        "kind": kind,
-        "target": target_n,
+        "kind": "improvement",
+        "target": seq.n,
         **mf_fields(mf),
         "hex": encode_hex(seq),
         "n": seq.n,
@@ -224,7 +219,7 @@ def walk(config: SolverConfig, worker_id: int, stats: RunStats, stop=None):
     n = config.n
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=(config.seed & _M64, worker_id)))
-    first = config.order  # the walk flips positions first..l
+    first = sum(config.partition)  # the walk flips positions first..l
     strict = config.policy == POLICY_STRICT_DESCENT
     nn, ta = n * n, config.t_activate
     # (length, edit) of what a state scores: itself, then its probes but n3,
@@ -285,17 +280,11 @@ def _consume(config: SolverConfig, worker_id: int, emit: Callable[[dict], None],
         for length, energy, seq in walk(config, worker_id, stats, stop):
             mf = merit_factor_of(length, energy)
             setattr(best, slots[length], BestRecord(mf, seq, time.monotonic() - start))
-            emit(_event("improvement", length, mf, seq, stats.flips, stats.restarts,
-                        worker_id))
+            emit(_event(mf, seq, stats.flips, stats.restarts, worker_id))
     except KeyboardInterrupt:
         stats.interrupted = True
     stats.elapsed = time.monotonic() - start
     return SolverResult(config=config, best=best, stats=stats)
-
-
-def _metadata(config: SolverConfig) -> dict:
-    return {**asdict(config), "partition": list(config.partition),
-            "rng": "numpy PCG64, SeedSequence(entropy=(seed, worker_id))"}
 
 
 def _walk_process(config: SolverConfig, worker_id: int, conn, stop) -> None:
@@ -378,8 +367,7 @@ def _merge(config: SolverConfig, events: List[dict], results: List[SolverResult]
             "probes": r.stats.probes,
             "elapsed": r.stats.elapsed,
         })
-    return SolverResult(config=config, best=best, stats=stats, events=events,
-                        metadata=_metadata(config))
+    return SolverResult(config=config, best=best, stats=stats, events=events)
 
 
 def run(config: SolverConfig,

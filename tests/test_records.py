@@ -148,15 +148,20 @@ def test_bad_row_reported_not_fatal():
     assert summary["matched"] == 1
     assert not reports[0].match and not reports[0].length_ok
     assert reports[0].detail
+    assert (reports[0].energy, reports[0].computed_mf, reports[0].rel_error,
+            reports[0].classification) == (None, None, None, None)
 
 
-@pytest.mark.parametrize("claim", [0.0, -14.08, math.nan], ids=["zero", "negative", "nan"])
+@pytest.mark.parametrize("claim", [0.0, -14.08, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
 def test_non_positive_claim_is_a_failed_match(claim):
     entry = RecordEntry(n=13, class_expr="B_13", hex="1f35", old_mf=None,
                         new_mf=claim, source_table="I")
     report = verify_entry(entry)
     assert not report.match and report.rel_error is None
     assert report.energy == 6 and report.length_ok
+    assert report.computed_mf == 169 / 12
+    assert report.classification == "skew-symmetric"
     assert "positive finite number" in report.detail
     _, summary = verify_all([entry])
     assert summary["matched"] == 0 and summary["failed"][0][2] == report.detail

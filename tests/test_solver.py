@@ -12,7 +12,7 @@ import pytest
 from labskit.core import MAX_LENGTH, energy, merit_factor
 from labskit.errors import DomainError
 from labskit.partitions import project_partition, sample_member
-from labskit.records import decode_hex
+from labskit.records import decode_hex, encode_hex
 from labskit.skew import SkewHalf, SkewSearchState, is_skew_symmetric
 from labskit.solver import (POLICY_SELF_AVOIDING, POLICY_STRICT_DESCENT,
                             SolverConfig, hash_half_bits, hash_state,
@@ -251,6 +251,16 @@ def test_parallel_workers_merge(workers):
                               seed=5, workers=1))
     # worker 0 of the pool matches the single-worker stream
     assert [e for e in result.events if e["worker"] == 0] == single.events
+    # each slot of the merged triple holds the best of the workers' last
+    # events at its length; as in _merge, a tie goes to the lowest worker id
+    for length, record in result.best.by_length(cfg.n).items():
+        last = {ev["worker"]: ev for ev in result.events if ev["n"] == length}
+        assert len(last) == workers
+        want = max(sorted(last.items()),
+                   key=lambda item: Fraction(item[1]["mf_num"], item[1]["mf_den"]))[1]
+        assert record is not None
+        assert (record.mf, encode_hex(record.sequence)) == \
+            (Fraction(want["mf_num"], want["mf_den"]), want["hex"])
 
 
 def _first_worker_fails(monkeypatch, fail):
@@ -287,11 +297,3 @@ def test_worker_killed_without_reporting_raises(monkeypatch):
         run(cfg)
     assert time.monotonic() - t0 < 30
     assert multiprocessing.active_children() == []
-
-
-def test_metadata_records_reproducibility_inputs():
-    cfg = SolverConfig(n=13, partition=(2,), t_inner=50, t_outer=2, seed=9)
-    result = run(cfg)
-    md = result.metadata
-    assert md["seed"] == 9 and md["policy"] == POLICY_SELF_AVOIDING
-    assert md["partition"] == [2] and "PCG64" in md["rng"]
