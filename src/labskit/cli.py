@@ -37,8 +37,10 @@ EXIT_IO = 4
 EXIT_INTERRUPT = 130
 
 
-def _emit(record: dict, human: bool) -> None:
-    if human:
+def _emit(args, record: dict) -> None:
+    """Write `record` as one line, after `"command": args.command`."""
+    record = {"command": args.command, **record}
+    if args.human:
         line = "  ".join(f"{k}={record[k]}" for k in record)
     else:
         line = json.dumps(record, sort_keys=True)
@@ -60,7 +62,6 @@ def _cmd_eval(args) -> int:
            else decode_hex(args.hex, args.n))
     e = energy(seq)
     record = {
-        "command": "eval",
         "n": seq.n,
         "energy": e,
         **mf_fields(merit_factor_of(seq.n, e)),
@@ -69,7 +70,7 @@ def _cmd_eval(args) -> int:
     }
     if args.sidelobes:
         record["sidelobes"] = list(sidelobes(seq))
-    _emit(record, args.human)
+    _emit(args, record)
     return EXIT_OK
 
 
@@ -122,7 +123,6 @@ def _cmd_search(args) -> int:
     config.validate()  # before the config record, which would echo a bad value
     t0 = time.monotonic()
     header = {
-        "command": "search",
         "kind": "config",
         "n": config.n,
         "partition": list(config.partition),
@@ -137,17 +137,16 @@ def _cmd_search(args) -> int:
     }
     if args.timing:
         header["started_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    _emit(header, args.human)
+    _emit(args, header)
 
     def on_event(ev: dict) -> None:
-        record = {"command": "search", **ev}
         if args.timing:
-            record["elapsed_ms"] = round((time.monotonic() - t0) * 1000.0, 3)
-        _emit(record, args.human)
+            ev = {**ev, "elapsed_ms": round((time.monotonic() - t0) * 1000.0, 3)}
+        _emit(args, ev)
 
     result = run(config, on_event=on_event)
     for target_n, rec in sorted(result.best.by_length(config.n).items()):
-        record = {"command": "search", "kind": "final", "target": target_n}
+        record = {"kind": "final", "target": target_n}
         if rec is None:
             record["mf"] = None
         else:
@@ -156,9 +155,8 @@ def _cmd_search(args) -> int:
             record["n"] = rec.sequence.n
             if args.timing:
                 record["found_elapsed_ms"] = round(rec.found_elapsed * 1000.0, 3)
-        _emit(record, args.human)
+        _emit(args, record)
     summary = {
-        "command": "search",
         "kind": "summary",
         "restarts": result.stats.restarts,
         "flips": result.stats.flips,
@@ -173,7 +171,7 @@ def _cmd_search(args) -> int:
         summary["elapsed_ms"] = round(result.stats.elapsed * 1000.0, 3)
         summary["per_worker"] = result.stats.per_worker
         summary["finished_at"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    _emit(summary, args.human)
+    _emit(args, summary)
     return EXIT_INTERRUPT if result.stats.interrupted else EXIT_OK
 
 
@@ -183,14 +181,13 @@ def _cmd_search(args) -> int:
 def _cmd_exhaustive(args) -> int:
     mf, witness = exhaustive_best(args.n, skew_only=args.skew_only)
     record = {
-        "command": "exhaustive",
         "n": args.n,
         "skew_only": args.skew_only,
         **mf_fields(mf),
         "hex": encode_hex(witness),
         "energy": energy(witness),
     }
-    _emit(record, args.human)
+    _emit(args, record)
     return EXIT_OK
 
 
@@ -207,8 +204,7 @@ def _cmd_verify(args) -> int:
     reports, summary = verify_all(entries, tolerance=args.tolerance)
     if args.per_row:
         for r in reports:
-            _emit({
-                "command": "verify",
+            _emit(args, {
                 "kind": "row",
                 "n": r.entry.n,
                 "class": r.entry.class_expr,
@@ -219,16 +215,15 @@ def _cmd_verify(args) -> int:
                 "match": r.match,
                 "classification": r.classification,
                 "detail": r.detail,
-            }, args.human)
-    _emit({
-        "command": "verify",
+            })
+    _emit(args, {
         "kind": "summary",
         "total": summary["total"],
         "matched": summary["matched"],
         "match_fraction": round(summary["match_fraction"], 6),
         "failed": [{"n": n, "class": c, "detail": d} for n, c, d in summary["failed"]],
         "passed": summary["passed"],
-    }, args.human)
+    })
     return EXIT_OK if summary["passed"] else EXIT_VERIFY_FAILED
 
 
@@ -237,7 +232,7 @@ def _cmd_verify(args) -> int:
 
 def _potential_record(kind: str, report, **fields) -> dict:
     """One potentials line, a "best" or a scan "row", for `report`."""
-    return {"command": "potentials", "kind": kind, **fields,
+    return {"kind": kind, **fields,
             "partition": list(report.partition), "U": report.potential,
             "Ustar": report.normalized, "eval_length": report.eval_length}
 
@@ -249,10 +244,10 @@ def _cmd_potentials(args) -> int:
             print(format_potential_table(reports))
         else:
             for r in reports:
-                _emit(_potential_record("row", r), False)
+                _emit(args, _potential_record("row", r))
         return EXIT_OK
     report = best_partition(args.k, args.parts, args.objective)
-    _emit(_potential_record("best", report, objective=args.objective), args.human)
+    _emit(args, _potential_record("best", report, objective=args.objective))
     return EXIT_OK
 
 
@@ -267,16 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "published records, scan partition potentials.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--human", action="store_true")
 
-    p = sub.add_parser("eval", help="evaluate one sequence")
+    p = sub.add_parser("eval", parents=[common], help="evaluate one sequence")
     p.add_argument("sequence", nargs="?", help="sequence text like '+-++' or '1,-1,1'")
     p.add_argument("--hex", help="hex payload (zeroes omitted)")
     p.add_argument("--n", type=int, help="length for --hex decoding")
     p.add_argument("--sidelobes", action="store_true", help="include the sidelobe array")
-    p.add_argument("--human", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("search", help="restart local search at one length")
+    p = sub.add_parser("search", parents=[common], help="restart local search at one length")
     p.add_argument("--n", type=int, required=True, help="odd target length")
     p.add_argument("--partition", required=True, help="comma list, e.g. 6,3,3")
     p.add_argument("--ti", type=int, default=SolverConfig.t_inner,
@@ -292,30 +288,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=list(POLICIES), default=SolverConfig.policy)
     p.add_argument("--timing", action="store_true",
                    help="add elapsed-time fields (stream no longer reproducible byte-for-byte)")
-    p.add_argument("--human", action="store_true")
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("exhaustive", help="exact optimum at small lengths")
+    p = sub.add_parser("exhaustive", parents=[common], help="exact optimum at small lengths")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--skew-only", action="store_true")
-    p.add_argument("--human", action="store_true")
     p.set_defaults(func=_cmd_exhaustive)
 
-    p = sub.add_parser("verify", help="recompute claimed merit factors of the record dataset")
+    p = sub.add_parser("verify", parents=[common],
+                       help="recompute claimed merit factors of the record dataset")
     p.add_argument("--dataset", help="records file (default: bundled)")
     p.add_argument("--rows", help="only rows with these lengths, comma list")
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p.add_argument("--per-row", action="store_true", help="emit one record per row")
-    p.add_argument("--human", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("potentials", help="optimal-partition scan")
+    p = sub.add_parser("potentials", parents=[common], help="optimal-partition scan")
     p.add_argument("--k", type=int, required=True, help="restriction order")
     p.add_argument("--parts", type=int, required=True, help="number of parts")
     p.add_argument("--objective", choices=["U", "Ustar"],
                    default=inspect.signature(best_partition).parameters["objective"].default)
     p.add_argument("--all", action="store_true", help="emit the whole scan table")
-    p.add_argument("--human", action="store_true")
     p.set_defaults(func=_cmd_potentials)
 
     return parser

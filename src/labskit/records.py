@@ -96,7 +96,6 @@ class RecordEntry:
 class VerificationReport:
     """One row's outcome; the defaults are those of a payload that fails to decode."""
     entry: RecordEntry
-    length_ok: bool
     energy: Optional[int] = None
     computed_mf: Optional[float] = None
     match: bool = False
@@ -159,13 +158,13 @@ def verify_entry(entry: RecordEntry, tolerance: float = DEFAULT_TOLERANCE) -> Ve
     try:
         seq = decode_hex(entry.hex, entry.n)
     except (ParseError, DomainError) as exc:
-        return VerificationReport(entry, length_ok=False, detail=str(exc))
+        return VerificationReport(entry, detail=str(exc))
     e = energy(seq)
     computed = float(merit_factor_of(entry.n, e))
     claim_ok = 0 < entry.new_mf < math.inf
     rel = abs(computed - entry.new_mf) / entry.new_mf if claim_ok else None
     return VerificationReport(
-        entry, length_ok=True, energy=e, computed_mf=computed,
+        entry, energy=e, computed_mf=computed,
         match=claim_ok and rel <= tolerance, rel_error=rel, classification=classify(seq),
         detail="" if claim_ok else f"claimed merit factor must be a positive finite "
                                    f"number, got {entry.new_mf!r}",

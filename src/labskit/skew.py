@@ -122,10 +122,7 @@ the energies of a fresh state and of a recompute square and sum the
 correlations in int64.  The test suite checks every score against
 `reference.ref_flip_deltas`, which builds its own C from the elements,
 and against full recomputation, and the kept rows against a fresh
-rebuild.  LABSKIT_DEBUG_VERIFY=1 rechecks at runtime, after every flip:
-C, the energy and the elements against `half_bits`, and, once the rows
-are built, A', K and the weights against a fresh state's (`_verify`
-also compares kept scores with a fresh scan).
+rebuild.  Tests re-derive a state with `_verify`.
 
 `exhaustive_best` scores blocks of `EXHAUSTIVE_BLOCK` packed values as
 position-major (n, B) int32 columns (skew halves expanded along the
@@ -135,7 +132,6 @@ position axis) by one `core.lag_products` call over the lags 1..n-1.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -144,11 +140,6 @@ import numpy as np
 
 from .core import BinarySequence, _check_binary, lag_products, merit_factor_of
 from .errors import DomainError
-
-#: When set (env LABSKIT_DEBUG_VERIFY=1), every apply_flip re-derives the
-#: correlation array, the energy, the elements, the scan rows and the
-#: weights from scratch and asserts agreement.
-DEBUG_VERIFY = os.environ.get("LABSKIT_DEBUG_VERIFY", "") not in ("", "0")
 
 #: Packed values per block of exhaustive_best.
 EXHAUSTIVE_BLOCK = 1 << 16
@@ -362,8 +353,6 @@ class SkewSearchState:
         if q < l:
             e[n - 1 - q] = -s * b
         self.half_bits ^= 1 << q
-        if DEBUG_VERIFY:
-            self._verify()
 
     def _verify(self) -> None:
         """Re-derive from the elements everything the state keeps and

@@ -27,9 +27,16 @@ it reports.
 records and events, inline for one worker and in each process for
 more.  Workers are share-nothing processes, each with a numpy PCG64
 stream seeded by SeedSequence(entropy=(seed, worker id)); their events
-stream live, and the merged result takes the per-target maximum.  A
-Ctrl-C sets a shared stop, so every worker reports its best so far.
+stream live, and the merged result takes the per-target maximum.
 Single-worker runs are fully deterministic for a fixed seed.
+
+One stop path serves every worker count: `run` makes one shared flag,
+which every walk reads once per pass, and a Ctrl-C (SIGINT) sets it, so
+each walk ends at its next pass and reports its best so far.  `run`
+takes SIGINT over only on the main thread and only while Python's
+default handler is in place; elsewhere SIGINT stays the caller's.  An
+exception raised by `on_event`, KeyboardInterrupt included, propagates
+out of `run` with any worker count.
 """
 
 from __future__ import annotations
@@ -209,7 +216,7 @@ def _event(mf: Fraction, seq: BinarySequence, flips: int, restarts: int,
     }
 
 
-def walk(config: SolverConfig, worker_id: int, stats: RunStats, stop=None):
+def walk(config: SolverConfig, worker_id: int, stats: RunStats, stop):
     """Yield `(length, energy, sequence)` for each improvement of worker
     `worker_id`'s restart walk, counting in `stats`.  Each pass of the
     loop takes one state, a restart's or a flip's.  The deadline and
@@ -230,7 +237,7 @@ def walk(config: SolverConfig, worker_id: int, stats: RunStats, stop=None):
     best_energy = {length: math.inf for length, _ in candidates}
     deadline = math.inf if config.time_limit is None else time.monotonic() + config.time_limit
     restart = True
-    while time.monotonic() < deadline and not (stop is not None and stop.value):
+    while time.monotonic() < deadline and not stop.value:
         if restart:
             # every restart counts toward the outer budget
             if stats.restarts > config.t_outer:
@@ -268,21 +275,17 @@ def walk(config: SolverConfig, worker_id: int, stats: RunStats, stop=None):
 
 
 def _consume(config: SolverConfig, worker_id: int, emit: Callable[[dict], None],
-             stop=None) -> SolverResult:
+             stop) -> SolverResult:
     """Keep the best record per length of worker `worker_id`'s walk and
-    pass each improvement's event to `emit`.  A KeyboardInterrupt, in
-    `emit` too, ends the walk as an interrupted result."""
+    pass each improvement's event to `emit`."""
     best = BestTriple()
     slots = {config.n - 1: "shorter", config.n: "target", config.n + 1: "longer"}
     stats = RunStats()
     start = time.monotonic()
-    try:
-        for length, energy, seq in walk(config, worker_id, stats, stop):
-            mf = merit_factor_of(length, energy)
-            setattr(best, slots[length], BestRecord(mf, seq, time.monotonic() - start))
-            emit(_event(mf, seq, stats.flips, stats.restarts, worker_id))
-    except KeyboardInterrupt:
-        stats.interrupted = True
+    for length, energy, seq in walk(config, worker_id, stats, stop):
+        mf = merit_factor_of(length, energy)
+        setattr(best, slots[length], BestRecord(mf, seq, time.monotonic() - start))
+        emit(_event(mf, seq, stats.flips, stats.restarts, worker_id))
     stats.elapsed = time.monotonic() - start
     return SolverResult(config=config, best=best, stats=stats)
 
@@ -297,24 +300,13 @@ def _walk_process(config: SolverConfig, worker_id: int, conn, stop) -> None:
         conn.send(exc)
 
 
-def _run_workers(config: SolverConfig,
-                 emit: Callable[[dict], None]) -> Tuple[List[SolverResult], bool]:
+def _run_workers(config: SolverConfig, emit: Callable[[dict], None],
+                 stop) -> List[SolverResult]:
     """One walk per process, each event passed to `emit` as it arrives.
-    A SIGINT sets the shared stop; the workers then report as usual.
-    Returns the results in worker order and whether a SIGINT came.  A
-    worker's exception is raised here, and its exit without a report as
-    ChildProcessError; no worker outlives the call."""
-    stop = mp.RawValue("b", 0)  # lock-free: a handler may run inside any call
+    Returns the results in worker order.  A worker's exception is raised
+    here, and its exit without a report as ChildProcessError; no worker
+    outlives the call."""
     conns, procs, results = {}, [], {}  # conns: reader -> worker id
-
-    def on_sigint(signum, frame):
-        stop.value = 1
-
-    # where a SIGINT would raise KeyboardInterrupt here, it sets the stop instead
-    hook = (threading.current_thread() is threading.main_thread()
-            and signal.getsignal(signal.SIGINT) is signal.default_int_handler)
-    if hook:
-        signal.signal(signal.SIGINT, on_sigint)
     try:
         for w in range(config.workers):
             recv, send = mp.Pipe(duplex=False)
@@ -335,10 +327,8 @@ def _run_workers(config: SolverConfig,
                     raise msg
                 else:
                     emit(msg)
-        return [results[w] for w in range(config.workers)], bool(stop.value)
+        return [results[w] for w in range(config.workers)]
     finally:
-        if hook:
-            signal.signal(signal.SIGINT, signal.default_int_handler)
         for proc in procs:
             proc.terminate()  # it has reported already, or must not outlive the run
             proc.join()
@@ -347,7 +337,7 @@ def _run_workers(config: SolverConfig,
 
 
 def _merge(config: SolverConfig, events: List[dict], results: List[SolverResult],
-           interrupted: bool = False) -> SolverResult:
+           interrupted: bool) -> SolverResult:
     best = BestTriple()
     stats = RunStats(interrupted=interrupted)
     for r in results:
@@ -360,7 +350,6 @@ def _merge(config: SolverConfig, events: List[dict], results: List[SolverResult]
         stats.flips += r.stats.flips
         stats.probes += r.stats.probes
         stats.elapsed = max(stats.elapsed, r.stats.elapsed)
-        stats.interrupted = stats.interrupted or r.stats.interrupted
         stats.per_worker.append({
             "restarts": r.stats.restarts,
             "flips": r.stats.flips,
@@ -377,8 +366,12 @@ def run(config: SolverConfig,
     `on_event` fires on each improvement as it is found, and the result
     lists the events in that order: fixed by the seed for one worker,
     which runs inline; interleaved across workers, in walk order within
-    each, for more.  A Ctrl-C (SIGINT) ends the search with its best so
-    far and `stats.interrupted` set, with any number of workers.
+    each, for more.  With any number of workers, a Ctrl-C (SIGINT) sets
+    the one shared stop, and the search ends with its best so far and
+    `stats.interrupted` set; this holds on the main thread while Python's
+    default SIGINT handler is in place, and elsewhere SIGINT stays the
+    caller's.  An exception raised by `on_event`, KeyboardInterrupt
+    included, propagates, and no worker outlives it.
     """
     config.validate()
     events: List[dict] = []
@@ -388,6 +381,20 @@ def run(config: SolverConfig,
         if on_event is not None:
             on_event(ev)
 
-    if config.workers == 1:
-        return _merge(config, events, [_consume(config, 0, emit)])
-    return _merge(config, events, *_run_workers(config, emit))
+    stop = mp.RawValue("b", 0)  # lock-free: a handler may run inside any call
+
+    def on_sigint(signum, frame):
+        stop.value = 1
+
+    # where a SIGINT would raise KeyboardInterrupt here, it sets the stop instead
+    hook = (threading.current_thread() is threading.main_thread()
+            and signal.getsignal(signal.SIGINT) is signal.default_int_handler)
+    if hook:
+        signal.signal(signal.SIGINT, on_sigint)
+    try:
+        results = ([_consume(config, 0, emit, stop)] if config.workers == 1
+                   else _run_workers(config, emit, stop))
+    finally:
+        if hook:
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+    return _merge(config, events, results, bool(stop.value))

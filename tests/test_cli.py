@@ -1,3 +1,5 @@
+import argparse
+import ast
 import inspect
 import io
 import json
@@ -8,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -368,15 +371,18 @@ def test_emit_interrupted_after_a_write_keeps_records_whole(monkeypatch, human):
 
     out = Stdout()
     monkeypatch.setattr(sys, "stdout", out)
+    args = argparse.Namespace(command="search", human=human)
     with pytest.raises(KeyboardInterrupt):
-        _emit({"kind": "improvement", "target": 61}, human)
-    _emit({"kind": "final", "target": 60}, human)
+        _emit(args, {"kind": "improvement", "target": 61})
+    _emit(args, {"kind": "final", "target": 60})
     if human:
-        assert out.getvalue().splitlines() == ["kind=improvement  target=61",
-                                               "kind=final  target=60"]
+        assert out.getvalue().splitlines() == [
+            "command=search  kind=improvement  target=61",
+            "command=search  kind=final  target=60"]
     else:
         assert [json.loads(l) for l in out.getvalue().splitlines()] == [
-            {"kind": "improvement", "target": 61}, {"kind": "final", "target": 60}]
+            {"command": "search", "kind": "improvement", "target": 61},
+            {"command": "search", "kind": "final", "target": 60}]
 
 
 def test_search_length_above_cap_is_refused_at_once():
@@ -432,3 +438,15 @@ def test_search_reads_no_environment():
     header = json.loads(out.stdout.splitlines()[0])
     assert header["kind"] == "config"
     assert header["workers"] == 1 and header["time_limit"] is None
+
+
+def test_package_reads_no_environment_variable():
+    """No module of the package loads `os.environ` or calls `os.getenv`:
+    a run is set by its arguments alone."""
+    package = Path(__file__).resolve().parents[1] / "src" / "labskit"
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        assert not names & {"environ", "getenv"}, path.name

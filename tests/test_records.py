@@ -146,7 +146,7 @@ def test_bad_row_reported_not_fatal():
     reports, summary = verify_all([broken, entries[0]])
     assert summary["total"] == 2
     assert summary["matched"] == 1
-    assert not reports[0].match and not reports[0].length_ok
+    assert not reports[0].match and reports[0].energy is None
     assert reports[0].detail
     assert (reports[0].energy, reports[0].computed_mf, reports[0].rel_error,
             reports[0].classification) == (None, None, None, None)
@@ -159,7 +159,7 @@ def test_non_positive_claim_is_a_failed_match(claim):
                         new_mf=claim, source_table="I")
     report = verify_entry(entry)
     assert not report.match and report.rel_error is None
-    assert report.energy == 6 and report.length_ok
+    assert report.energy == 6
     assert report.computed_mf == 169 / 12
     assert report.classification == "skew-symmetric"
     assert "positive finite number" in report.detail

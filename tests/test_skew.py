@@ -190,18 +190,23 @@ def test_exhaustive_skew_variant():
         assert exhaustive_best(n, skew_only=True)[0] <= exhaustive_best(n)[0]
 
 
-def test_debug_verify_shadow_recompute(monkeypatch):
-    import labskit.skew as skew_mod
-    monkeypatch.setattr(skew_mod, "DEBUG_VERIFY", True)
+def test_debug_verify_shadow_recompute():
     rnd = random.Random(25)
     st = SkewSearchState(random_half(rnd, 15))
     for q in (0, 5, 15, 5):
-        st.apply_flip(q)  # raises if the incremental update ever diverges
+        st.apply_flip(q)
+        st._verify()  # raises if the incremental update ever diverges
     assert st.energy == energy(st.sequence())
 
 
 def test_debug_verify_walk_checks_correlations(monkeypatch):
-    monkeypatch.setattr(skew, "DEBUG_VERIFY", True)
+    apply_flip = SkewSearchState.apply_flip
+
+    def checked(self, q):
+        apply_flip(self, q)
+        self._verify()
+
+    monkeypatch.setattr(SkewSearchState, "apply_flip", checked)
     config = SolverConfig(n=41, partition=(2, 1), t_inner=40, t_outer=2, seed=5)
     assert run(config).stats.flips > 40  # every flip re-derived and checked
     st = SkewSearchState(random_half(random.Random(26), 20))
@@ -219,16 +224,16 @@ def test_debug_verify_walk_checks_correlations(monkeypatch):
 
 
 @pytest.mark.parametrize("row", ["_w0", "_w3"])
-def test_debug_verify_checks_weights_scores_and_elements(monkeypatch, row):
+def test_debug_verify_checks_weights_scores_and_elements(row):
     """A weight sign flipped through the view a flip updates, kept scores
     off by one, and elements that disagree with `half_bits` each raise."""
-    monkeypatch.setattr(skew, "DEBUG_VERIFY", True)
     st = SkewSearchState(random_half(random.Random(27), 20))
     st.flip_deltas()
     st.apply_flip(5)
     getattr(st, row)[7] *= -1  # column 7: the flip at 3 still adds the right energy
+    st.apply_flip(3)
     with pytest.raises(AssertionError, match="scan weights diverged"):
-        st.apply_flip(3)
+        st._verify()
     st = SkewSearchState(random_half(random.Random(27), 20))
     st.flip_deltas()
     st._verify()  # a consistent state passes

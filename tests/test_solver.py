@@ -290,6 +290,22 @@ def test_worker_exception_is_raised_in_the_parent(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, ValueError])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_on_event_exception_propagates(workers, exc):
+    """An exception raised by `on_event`, KeyboardInterrupt included, ends
+    the run with any worker count, and no worker outlives it."""
+    def on_event(ev):
+        raise exc("from on_event")
+
+    cfg = SolverConfig(n=21, partition=(2, 1), t_inner=200, t_outer=4, seed=5,
+                       workers=workers)
+    with pytest.raises(exc, match="from on_event"):
+        run(cfg, on_event=on_event)
+    assert multiprocessing.active_children() == []
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+
+
 def test_worker_killed_without_reporting_raises(monkeypatch):
     cfg = _first_worker_fails(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
     t0 = time.monotonic()
