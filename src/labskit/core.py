@@ -163,8 +163,12 @@ def _require_metric_length(seq: Sequence) -> int:
 def lag_products(x: np.ndarray, y: np.ndarray, lags: Iterable[int],
                  out: np.ndarray) -> np.ndarray:
     """out[i] = sum_j x[j] * y[j + lags[i]] per column of equal-shape
-    position-major blocks, exact in out's integer dtype; a negative lag
-    shifts x instead, and x = y gives each column's C_u.  Returns out."""
+    position-major blocks; a negative lag shifts x instead, and x = y
+    gives each column's C_u.  Returns out.
+
+    The sums are made in out's integer dtype, which wraps silently, so
+    the caller picks one that holds its bound on every entry and partial
+    sum; for +-1/0 blocks a lag's product count bounds both."""
     for i, m in enumerate(lags):
         lo, hi = max(0, -m), len(x) - max(0, m)
         np.einsum("ij,ij->j", x[lo:hi], y[lo + m : hi + m], out=out[i])

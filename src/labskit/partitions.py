@@ -33,10 +33,16 @@ suffix terms are needed only where n-k+m is even.  Each of those sums
 k-|m| products with k-|m| odd, so it is odd: below n = 3k, where the
 two groups overlap, some tail entry is odd and the length is refused.
 The groups are added (+=) into one array of the even lags all the
-same, so the kernel is exact at every odd n >= 2k+1.  `potential`
-scores a block of one; `scan_potentials` and `best_partition` stream
-`POTENTIAL_BLOCK` partitions at a time from `enumerate_partitions`, so
-memory stays bounded by one block however many partitions a scan has.
+same, so the kernel is exact at every odd n >= 2k+1.  No entry reaches
+3k in magnitude, so a block is summed in the narrowest signed integer
+type that holds -3k: int8 up to k = 42, int16 up to k = 10922 and
+int32 beyond; the length cap on n* keeps k <= 333,332.  The potentials
+themselves are summed in int64.  `potential` scores a block of one;
+`scan_potentials` and `best_partition` stream `POTENTIAL_BLOCK`
+partitions at a time from `enumerate_partitions`, so memory stays
+bounded by one block however many partitions a scan has.
+`enumerate_partitions` is one loop: it shrinks the rightmost part that
+can lose one and refills the parts after it lexicographically largest.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import TernarySequence, lag_products
+from .core import TernarySequence, _check_length, lag_products
 from .errors import DomainError
 from .skew import SkewHalf, expand_rows
 
@@ -58,12 +64,14 @@ PARTITION_COUNTS = (
 )
 
 #: Partitions scored per `_block_potentials` call in a scan.  Sized so
-#: that at k = 68 every buffer of a block stays under glibc malloc's
-#: initial 128 KiB mmap threshold: freeing a larger mmap-ed buffer raises
-#: the threshold for the rest of the process, which moves later large
-#: arrays onto the heap and so changes the peak memory of whatever runs
-#: after a scan (an `exhaustive_best` call, say).
-POTENTIAL_BLOCK = 256
+#: that at k = 68, whose sidelobes are int16, every buffer of a block
+#: stays under glibc malloc's initial 128 KiB mmap threshold (the
+#: largest, the (B, n*) int8 projection and the (n*//2 + 1, B) int16
+#: sidelobes, take 105 KB): freeing a larger mmap-ed buffer raises the
+#: threshold for the rest of the process, which moves later large arrays
+#: onto the heap and so changes the peak memory of whatever runs after a
+#: scan (an `exhaustive_best` call, say).
+POTENTIAL_BLOCK = 512
 
 
 def _check_partition(partition: Sequence[int]) -> Tuple[int, ...]:
@@ -83,26 +91,28 @@ def enumerate_partitions(k: int, parts: Optional[int] = None) -> Iterator[Tuple[
     if parts is not None and not 1 <= parts <= k:
         raise DomainError(f"cannot split {k} into {parts} positive parts")
 
-    def rec(remaining: int, cap: int, acc: list):
-        if remaining == 0:
-            if parts is None or len(acc) == parts:
-                yield tuple(acc)
-            return
-        hi, lo = min(cap, remaining), 1
-        if parts is not None:
-            left = parts - len(acc)
-            if left == 0:
-                return
-            # leave at least 1 for each other open part; a non-increasing
-            # tail cannot fit below t once t < remaining / left
-            hi = min(hi, remaining - (left - 1))
-            lo = -(-remaining // left)
-        for t in range(hi, lo - 1, -1):
+    acc: list = []
+    rest, cap = k, k  # what the parts after acc sum to, and their largest allowed
+    while True:
+        # refill lexicographically largest: each part as big as the cap allows
+        # while, with `parts` fixed, leaving 1 for every part still to come
+        while rest:
+            t = min(cap, rest if parts is None else rest - (parts - 1 - len(acc)))
             acc.append(t)
-            yield from rec(remaining - t, t, acc)
-            acc.pop()
-
-    yield from rec(k, k, [])
+            rest -= t
+        yield tuple(acc)
+        # shrink the rightmost part that can lose one and still leave a
+        # feasible refill; with `parts` fixed, the parts after it hold at most t each
+        while acc:
+            t = acc.pop() - 1
+            rest += t + 1
+            if t and (parts is None or rest - t <= (parts - 1 - len(acc)) * t):
+                break
+        else:
+            return
+        acc.append(t)
+        rest -= t
+        cap = t
 
 
 def symmetry_class_count(k: int) -> int:
@@ -130,6 +140,7 @@ def restriction_class_size(n: int, k: int, skew: bool = False) -> int:
 def _projection(rows: np.ndarray, k: int, n: int) -> np.ndarray:
     """(B, n) int8 ternary projections of a (B, g) block of checked
     partitions of k: runs from +1, zeros, forced suffix."""
+    _check_length(n)
     if n % 2 == 0:
         raise DomainError(f"projection length must be odd, got {n}")
     if n < 2 * k + 1:
@@ -179,17 +190,22 @@ class PotentialReport:
 
 def _block_potentials(rows: np.ndarray, k: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Exact int64 (U, U*) arrays for a (B, g) block of checked
-    partitions of k, evaluated at odd length n >= 2k+1."""
+    partitions of k, evaluated at odd length n >= 2k+1; the sidelobes
+    are summed in the narrowest integer type that holds them."""
     a = _projection(rows, k, n)
-    # position-major columns, one per partition; a lag sums at most k
-    # products of +-1, so int32 holds every entry exactly
-    p = np.ascontiguousarray(a[:, :k].T, dtype=np.int32)
-    s = np.ascontiguousarray(a[:, n - k :].T, dtype=np.int32)
-    c = np.zeros((n // 2 + 1, len(a)), dtype=np.int32)  # c[i] = C_{2i}; odd lags are 0
+    # A head entry is at most 2(k-2), a prefix-suffix term at most k and,
+    # where the two groups overlap below n*, their sum under 3k; a partial
+    # sum of a lag counts at most k products.  So the narrowest signed
+    # type that holds -3k holds every entry exactly.
+    dtype = np.min_scalar_type(-3 * k)
+    # position-major columns, one per partition
+    p = np.ascontiguousarray(a[:, :k].T, dtype=dtype)
+    s = np.ascontiguousarray(a[:, n - k :].T, dtype=dtype)
+    c = np.zeros((n // 2 + 1, len(a)), dtype=dtype)  # c[i] = C_{2i}; odd lags are 0
     head = c[1 : (k + 1) // 2]  # prefix and suffix self-correlations, lags 2 .. k-1
     lag_products(p, p, range(2, k, 2), head)
     head *= 2
-    cross = np.empty((k, len(a)), dtype=np.int32)  # prefix-suffix terms, even lags n-k+m
+    cross = np.empty((k, len(a)), dtype=dtype)  # prefix-suffix terms, even lags n-k+m
     c[(n - 2 * k + 1) // 2 :] += lag_products(p, s, range(1 - k, k, 2), cross)
     total = np.einsum("ij,ij->j", c, c, dtype=np.int64)
     tail = c[1 : k // 2 + 1]  # C_2, C_4 .. of C_1 .. C_k, the last k reversed-index entries

@@ -6,8 +6,10 @@ of the bit-packed kernels in `labskit.core` and of the walk state in
 `ref_energy` takes every lag from one exact product of Python integers,
 and a test checks it against the per-lag sums.  `ref_flip_deltas` sums
 the one-row form of a paired flip's energy change from those lags, in
-int64 numpy rows.  `ref_walk` restates the solver's walk rule by rule;
-it shares only the seeded generator and `sample_member` with it.
+int64 numpy rows.  `ref_partitions` enumerates partitions by
+recursion, where `partitions.enumerate_partitions` loops.  `ref_walk`
+restates the solver's walk rule by rule; it shares only the seeded
+generator and `sample_member` with it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import struct
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -88,6 +90,32 @@ def ref_flip_deltas(elements: Sequence[int]) -> list:
         t *= (1 if q == l else 2) * e[q]
         deltas.append(int(4 * np.dot(t, t - c)))
     return deltas
+
+
+def ref_partitions(k: int, parts: Optional[int] = None) -> Iterator[tuple]:
+    """The partitions of k >= 1 in descending lexicographic order, by
+    recursion on the first part; `parts` fixes the number of summands."""
+
+    def rec(remaining: int, cap: int, acc: list):
+        if remaining == 0:
+            if parts is None or len(acc) == parts:
+                yield tuple(acc)
+            return
+        hi, lo = min(cap, remaining), 1
+        if parts is not None:
+            left = parts - len(acc)
+            if left == 0:
+                return
+            # leave at least 1 for each other open part; a non-increasing
+            # tail cannot fit below t once t < remaining / left
+            hi = min(hi, remaining - (left - 1))
+            lo = -(-remaining // left)
+        for t in range(hi, lo - 1, -1):
+            acc.append(t)
+            yield from rec(remaining - t, t, acc)
+            acc.pop()
+
+    yield from rec(k, k, [])
 
 
 def ref_walk(config) -> Iterator[tuple]:

@@ -125,8 +125,10 @@ and against full recomputation, and the kept rows against a fresh
 rebuild.  Tests re-derive a state with `_verify`.
 
 `exhaustive_best` scores blocks of `EXHAUSTIVE_BLOCK` packed values as
-position-major (n, B) int32 columns (skew halves expanded along the
+position-major (n, B) int8 columns (skew halves expanded along the
 position axis) by one `core.lag_products` call over the lags 1..n-1.
+Every lag sum is at most n-1 <= 30 in magnitude at the length caps, so
+the columns and the lag sums are int8; the energies are summed in int32.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ from .core import BinarySequence, _check_binary, lag_products, merit_factor_of
 from .errors import DomainError
 
 #: Packed values per block of exhaustive_best.
-EXHAUSTIVE_BLOCK = 1 << 16
+EXHAUSTIVE_BLOCK = 1 << 13
 
 #: Caps for exhaustive_best.
 MAX_EXHAUSTIVE_SKEW = 31
@@ -470,9 +472,13 @@ def _row_starts(n: int) -> np.ndarray:
 
 
 def _bits_to_pm1(values: np.ndarray, width: int) -> np.ndarray:
-    """(B,) int32 -> (width, B) +-1 int32 columns, bit width-1 first (MSB = element 0)."""
-    x = (values >> np.arange(width - 1, -1, -1, dtype=np.int32)[:, None]) & 1
-    x *= 2  # in place: these (width, B) arrays set the peak memory of a block
+    """(B,) int32 -> (width, B) +-1 int8 columns, bit width-1 first (MSB = element 0)."""
+    x = np.empty((width, len(values)), dtype=np.int8)
+    for i, row in enumerate(x):
+        # a row at a time: shifting the whole block at once makes int32
+        # temporaries four times the size of x
+        np.bitwise_and(values >> (width - 1 - i), 1, out=row, casting="unsafe")
+    x *= 2
     x -= 1
     return x
 
@@ -503,13 +509,14 @@ def exhaustive_best(n: int, skew_only: bool = False) -> Tuple[Fraction, BinarySe
     best_seq: Optional[BinarySequence] = None
     end = 1 << width
     for start in range(top, end, EXHAUSTIVE_BLOCK):
-        # int32 is exact: values < 2^24, |C_u| < n <= 31 and E < n^3/3 < 2^31
+        # exact: values < 2^24 fit int32, |C_u| <= n-1 <= 30 fits int8 and
+        # E < n^3/3 < 2^31 fits int32
         x = _bits_to_pm1(np.arange(start, min(start + EXHAUSTIVE_BLOCK, end),
                                    dtype=np.int32), width)
         if skew_only:
             x = np.ascontiguousarray(expand_rows(x.T).T)
-        c = lag_products(x, x, range(1, n), np.empty((n - 1, x.shape[1]), dtype=np.int32))
-        energies = np.einsum("ij,ij->j", c, c)
+        c = lag_products(x, x, range(1, n), np.empty((n - 1, x.shape[1]), dtype=np.int8))
+        energies = np.einsum("ij,ij->j", c, c, dtype=np.int32)
         idx = int(np.argmin(energies))
         if best_e is None or energies[idx] < best_e:
             best_e = int(energies[idx])

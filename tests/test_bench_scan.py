@@ -36,7 +36,7 @@ def test_bench_scan_timings_run_at_n_101(bench_scan, tmp_path):
     entry = json.loads(out.read_text())
     rows = [row for kind in ("scan", "step", "restart", "run", "exact") for row in entry[kind]]
     rows += [layers["pick_better_neighbor"] for layers in entry["layers"]]
-    assert len(rows) == 3 + 1 + 4 + 1
+    assert len(rows) == 3 + 1 + 5 + 1
     for row in rows:
         assert min(row["median_us"].values()) > 0
         assert row["pairs"] == bench_scan.REPEATS
@@ -44,6 +44,8 @@ def test_bench_scan_timings_run_at_n_101(bench_scan, tmp_path):
         assert 0 <= row["wins"] <= row["pairs"] and row["parent_iqr_us"] >= 0
     for row in entry["run"] + entry["exact"]:
         assert row["equal"] and row["answers"]["parent"] == row["answers"]["change"]
+    enumerated = entry["exact"][-1]["answers"]["change"]
+    assert enumerated["count"] == 12 and len(enumerated["sha256"]) == 64  # p(12, 3)
     (run,) = entry["run"]
     assert run["answers"]["change"]["flips"] > 0
     assert len(run["answers"]["change"]["events_sha256"]) == 64

@@ -397,6 +397,17 @@ def test_search_length_above_cap_is_refused_at_once():
     assert out.stdout == ""
 
 
+def test_potentials_length_above_cap_is_refused_at_once():
+    """n* = 1,200,003 for k = 400,000: refused before the scan builds a
+    block, which would take about half a minute."""
+    out = subprocess.run([sys.executable, "-m", "labskit.cli", "potentials", "--k", "400000",
+                          "--parts", "1"], capture_output=True, text=True, timeout=60)
+    assert out.returncode == 3
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert "exceeds hard cap" in out.stderr
+    assert out.stdout == ""
+
+
 def test_search_lost_worker_is_one_error_line_and_exit_4(capsys, monkeypatch):
     """The first worker to start a restart SIGKILLs itself; workers are
     forked, so they see the patch.  The other walks until stopped."""

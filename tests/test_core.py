@@ -202,6 +202,14 @@ def test_ternary_sequence_value_semantics():
         t.elements = (1,)
 
 
+@pytest.mark.parametrize("n", [24, 31], ids=["full-cap", "skew-cap"])
+def test_lag_products_int8_holds_the_exhaustive_bound(n):
+    # all-+1 columns give the largest sums, C_u = n-u, at the exhaustive caps
+    x = np.ones((n, 3), dtype=np.int8)
+    c = lag_products(x, x, range(1, n), np.empty((n - 1, 3), dtype=np.int8))
+    assert c.tolist() == [[n - u] * 3 for u in range(1, n)]
+
+
 def test_lag_products_matches_loop():
     """Every lag of -(k-1)..k-1, positive ones shifting y and negative
     ones x, against a per-column loop; with x = y the rows are C_u."""

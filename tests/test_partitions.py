@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labskit import partitions
-from labskit.core import BinarySequence, energy, sidelobes
+from labskit.core import MAX_LENGTH, BinarySequence, energy, lag_products, sidelobes
 from labskit.errors import DomainError
 from labskit.partitions import (PARTITION_COUNTS, best_partition,
                                 enumerate_partitions, format_potential_table,
@@ -18,7 +18,7 @@ from labskit.partitions import (PARTITION_COUNTS, best_partition,
                                 project_partition, restriction_class_size,
                                 sample_member, scan_potentials,
                                 symmetry_class_count)
-from labskit.reference import ref_sidelobes
+from labskit.reference import ref_partitions, ref_sidelobes
 from labskit.skew import expand
 from labskit.symmetry import canonical_form
 
@@ -43,8 +43,21 @@ def all_compositions(k):
             for p in range(k) for cuts in combinations(range(1, k), p)]
 
 
+def test_enumerate_matches_recursive_reference():
+    # same tuples in the same order, for every part count
+    for k in range(1, 21):
+        for p in [None, *range(1, k + 1)]:
+            assert list(enumerate_partitions(k, p)) == list(ref_partitions(k, p)), (k, p)
+
+
+def test_enumerate_is_lazy():
+    # the first partition comes at once however many follow
+    assert next(enumerate_partitions(10**6)) == (10**6,)
+    assert next(enumerate_partitions(10**6, parts=3)) == (10**6 - 2, 1, 1)
+
+
 def test_enumerate_compositions_match_itertools():
-    # the pruned recursion against a brute-force filter, in descending
+    # the enumerator against a brute-force filter, in descending
     # lexicographic order
     for k in range(1, 15):
         comps = all_compositions(k)
@@ -270,6 +283,62 @@ def test_potential_too_short_raises():
         potential((2,), 5)
     with pytest.raises(DomainError):
         potential((4, 2), 17)
+
+
+def correlate_potentials(rows, n):
+    """(U, U*) per partition from an int64 `np.correlate` of its whole
+    potential sequence at length n."""
+    out = []
+    for parts in rows:
+        k = sum(parts)
+        a = np.array(potential_sequence(parts, n).elements, dtype=np.int64)
+        c = np.correlate(a, a, mode="full")[n:]  # C_1 .. C_{n-1}; the tail is C_1 .. C_k
+        out.append((int(np.dot(c, c)),
+                    int(np.dot(c[k:], c[k:])) + int(np.sum((c[:k] // 2) ** 2))))
+    return out
+
+
+def block_potentials_typed(monkeypatch, rows, k):
+    """`_block_potentials` at n*(k) over `rows` as a list of (U, U*),
+    and the dtypes its lag sums were made in."""
+    dtypes = set()
+
+    def spy(x, y, lags, out):
+        dtypes.add(out.dtype)
+        return lag_products(x, y, lags, out)
+
+    monkeypatch.setattr(partitions, "lag_products", spy)
+    total, norm = partitions._block_potentials(np.array(rows), k, n_star(k))
+    return list(zip(total.tolist(), norm.tolist())), dtypes
+
+
+@pytest.mark.parametrize("k, dtype", [(42, np.int8), (43, np.int16)])
+def test_block_potentials_exact_at_the_int8_int16_switch(monkeypatch, k, dtype):
+    # (k,) has the largest entry, its lag-2 head entry 2(k-2)
+    rnd = random.Random(k)
+    for parts in (1, 2, 3, 7, 20):
+        rows = [(k,)] if parts == 1 else rnd.sample(list(enumerate_partitions(k, parts)), 12)
+        got, dtypes = block_potentials_typed(monkeypatch, rows, k)
+        assert dtypes == {np.dtype(dtype)}
+        assert got == correlate_potentials(rows, n_star(k)), (k, parts)
+
+
+def test_block_potentials_exact_past_the_int16_limit(monkeypatch):
+    k = 32767 // 3 + 1  # 3k no longer fits int16
+    got, dtypes = block_potentials_typed(monkeypatch, [(k,)], k)
+    assert dtypes == {np.dtype(np.int32)}
+    assert got == correlate_potentials([(k,)], n_star(k))
+
+
+def test_potential_scans_refuse_lengths_above_the_cap():
+    # n* passes the length cap between k = 333,332 and 333,333; refused
+    # before any block is built
+    assert n_star(333_332) <= MAX_LENGTH < n_star(333_333)
+    for call in (lambda: potential((400_000,)), lambda: scan_potentials(400_000, 1),
+                 lambda: best_partition(400_000, 1), lambda: potential_sequence((400_000,)),
+                 lambda: potential((1,), MAX_LENGTH + 2)):
+        with pytest.raises(DomainError, match="exceeds hard cap"):
+            call()
 
 
 def test_n_star_is_odd_and_sufficient():

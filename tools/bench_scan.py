@@ -28,14 +28,16 @@ repeat takes about SCAN_REPEAT_S.  Single-threaded:
 * `run`: `solver.run` with partition (6,3,3), seed 1 and a fixed flip
   budget per length, at n in RUN_BUDGETS;
 * `exact`: `exhaustive_best` at the EXHAUSTIVE_CALLS (all sequences of
-  length 22, the skew-symmetric ones of length 31) and `best_partition`
-  at PARTITION_SCAN = (68, 7) for both objectives.
+  length 22, the skew-symmetric ones of length 31), `best_partition`
+  at PARTITION_SCAN = (68, 7) for both objectives and
+  `enumerate_partitions` at PARTITION_SCAN.
 
 The `run` and `exact` rows also store each tree's answer (the flip and
 probe counts and the sha256 of the event stream; the merit factor as a
-reduced [num, den] and the witness hex; the best partition) and whether
-the two are equal.  The result is written to the JSON file `--out` (default
-BENCH_scan.json at the root of the repository).
+reduced [num, den] and the witness hex; the best partition; the count
+and the sha256 of the enumerated tuples) and whether the two are equal.
+The result is written to the JSON file `--out` (default BENCH_scan.json
+at the root of the repository).
 """
 
 from __future__ import annotations
@@ -207,6 +209,17 @@ def time_best_partition(lk, objective: str):
     return lambda: list(lk.partitions.best_partition(*PARTITION_SCAN, objective).partition)
 
 
+def time_enumerate(lk):
+    def call() -> dict:
+        h, count = hashlib.sha256(), 0
+        for parts in lk.partitions.enumerate_partitions(*PARTITION_SCAN):
+            h.update(repr(parts).encode() + b"\n")
+            count += 1
+        return {"count": count, "sha256": h.hexdigest()}
+
+    return call
+
+
 def measure(trees: dict) -> dict:
     """Every row, of the trees `{"parent": package, "change": package}`."""
     k, parts = PARTITION_SCAN
@@ -230,7 +243,9 @@ def measure(trees: dict) -> dict:
                   for n, skew_only in EXHAUSTIVE_CALLS]
         + [{"call": f"best_partition({k}, {parts}, {objective!r})",
             **row(trees, time_best_partition, objective, answered=True)}
-           for objective in ("U", "Ustar")],
+           for objective in ("U", "Ustar")]
+        + [{"call": f"enumerate_partitions({k}, {parts})",
+            **row(trees, time_enumerate, answered=True)}],
     }
 
 
